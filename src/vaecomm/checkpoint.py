@@ -12,12 +12,12 @@ import os
 import numpy as np
 
 from .errors import CheckpointError, ConfigError
+from .layers import BatchNorm1D
 from .model import CommSystem, SystemConfig
 
 FORMAT_VERSION = 1
 
 _CONFIG_FIELDS = ("k", "n", "latent_multiplier", "hidden_filters", "beta", "channel_kind", "seed")
-_BN_LAYERS = ("tx_bn", "rx_bn")
 
 
 def save_checkpoint(system: CommSystem, path: str) -> None:
@@ -30,11 +30,8 @@ def save_checkpoint(system: CommSystem, path: str) -> None:
             for name, t in system.named_parameters()
         ],
         "batchnorm_running_stats": {
-            name: {
-                "mean": getattr(system, name).running_mean.tolist(),
-                "var": getattr(system, name).running_var.tolist(),
-            }
-            for name in _BN_LAYERS
+            name: {"mean": layer.running_mean.tolist(), "var": layer.running_var.tolist()}
+            for name, layer in system.layers_of(BatchNorm1D)
         },
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -101,11 +98,10 @@ def load_checkpoint(path: str) -> CommSystem:
     stats = doc.get("batchnorm_running_stats")
     if not isinstance(stats, dict):
         raise CheckpointError("field 'batchnorm_running_stats': missing or not an object")
-    for name in _BN_LAYERS:
+    for name, layer in system.layers_of(BatchNorm1D):
         entry = stats.get(name)
         if not isinstance(entry, dict) or "mean" not in entry or "var" not in entry:
             raise CheckpointError(f"field 'batchnorm_running_stats.{name}': needs 'mean' and 'var'")
-        layer = getattr(system, name)
         mean = np.asarray(entry["mean"], dtype=np.float64)
         var = np.asarray(entry["var"], dtype=np.float64)
         if mean.shape != layer.running_mean.shape or var.shape != layer.running_var.shape:

@@ -1,7 +1,9 @@
 """Network building blocks operating on (batch, positions, channels) tensors.
 
-All layers are position-wise with the default kernel size of 1, which is what
-makes a trained transceiver independent of the block length it was trained at.
+Convolutions are position-wise: kernel size 1 and stride 1 by construction,
+not by parameter. That is what makes a trained transceiver independent of the
+block length it was trained at. The order in which the transceiver chains
+these layers is defined once, in :mod:`vaecomm.model`.
 """
 
 from __future__ import annotations
@@ -18,32 +20,24 @@ def glorot_uniform(rng: np.random.Generator, shape: tuple, fan_in: int, fan_out:
 
 
 class Conv1D:
-    """1-D convolution over the position axis with same-length padding.
+    """Position-wise (kernel-1) convolution: one affine map applied at every position.
 
-    Weight layout is (out_channels, in_channels, kernel_size); bias starts at
-    zero and weights are Glorot-uniform from the supplied generator.
+    Weight layout is (out_channels, in_channels, 1), the layout checkpoints
+    store; bias starts at zero and weights are Glorot-uniform from the
+    supplied generator.
     """
 
-    def __init__(self, in_channels: int, out_channels: int, kernel_size: int = 1,
-                 stride: int = 1, *, rng: np.random.Generator | None = None, name: str = "conv"):
-        if kernel_size < 1 or stride < 1:
-            raise DomainError(f"kernel_size and stride must be >= 1, got {kernel_size}, {stride}")
+    def __init__(self, in_channels: int, out_channels: int, *,
+                 rng: np.random.Generator | None = None, name: str = "conv"):
         self.in_channels = in_channels
         self.out_channels = out_channels
-        self.kernel_size = kernel_size
-        self.stride = stride
         self.name = name
         rng = rng or np.random.default_rng()
-        fan_in = in_channels * kernel_size
-        fan_out = out_channels * kernel_size
         self.weight = Tensor(
-            glorot_uniform(rng, (out_channels, in_channels, kernel_size), fan_in, fan_out),
+            glorot_uniform(rng, (out_channels, in_channels, 1), in_channels, out_channels),
             requires_grad=True,
         )
         self.bias = Tensor(np.zeros(out_channels), requires_grad=True)
-
-    def parameters(self):
-        return [self.weight, self.bias]
 
     def __call__(self, x: Tensor) -> Tensor:
         if x.ndim != 3:
@@ -52,11 +46,6 @@ class Conv1D:
             raise ShapeMismatchError(
                 f"{self.name}: input has {x.shape[2]} channels, layer expects {self.in_channels}"
             )
-        if self.kernel_size == 1 and self.stride == 1:
-            return self._pointwise(x)
-        return self._general(x)
-
-    def _pointwise(self, x: Tensor) -> Tensor:
         batch, length, _ = x.shape
         w2d = self.weight.data[:, :, 0].T  # (in, out)
         xd = x.data.reshape(batch * length, self.in_channels)
@@ -68,31 +57,6 @@ class Conv1D:
             gx = (g2d @ w2d.T).reshape(x.shape)
             gw = (xd.T @ g2d).T[:, :, None]  # back to (out, in, 1)
             gb = g2d.sum(axis=0)
-            return gx, gw, gb
-
-        return from_op(out, (x, w, b), grad)
-
-    def _general(self, x: Tensor) -> Tensor:
-        batch, length, _ = x.shape
-        k, s = self.kernel_size, self.stride
-        out_len = -(-length // s)  # ceil
-        pad_total = max((out_len - 1) * s + k - length, 0)
-        pad_left = pad_total // 2
-        xp = np.pad(x.data, ((0, 0), (pad_left, pad_total - pad_left), (0, 0)))
-        idx = (np.arange(out_len)[:, None] * s) + np.arange(k)[None, :]  # (out_len, k)
-        cols = xp[:, idx, :]  # (batch, out_len, k, in)
-        out = np.tensordot(cols, self.weight.data, axes=([2, 3], [2, 1])) + self.bias.data
-        w, b = self.weight, self.bias
-
-        def grad(g):
-            gw = np.tensordot(g, cols, axes=([0, 1], [0, 1]))  # (out, k, in)
-            gw = np.transpose(gw, (0, 2, 1))
-            gcols = np.tensordot(g, w.data, axes=([2], [0]))  # (batch, out_len, in, k)
-            gcols = np.transpose(gcols, (0, 1, 3, 2))
-            gxp = np.zeros_like(xp)
-            np.add.at(gxp, (slice(None), idx), gcols)
-            gx = gxp[:, pad_left:pad_left + length, :]
-            gb = g.sum(axis=(0, 1))
             return gx, gw, gb
 
         return from_op(out, (x, w, b), grad)
@@ -117,9 +81,6 @@ class BatchNorm1D:
         self.shift = Tensor(np.zeros(channels), requires_grad=True)
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
-
-    def parameters(self):
-        return [self.gamma, self.shift]
 
     def __call__(self, x: Tensor) -> Tensor:
         if x.ndim != 3 or x.shape[2] != self.channels:
@@ -170,9 +131,6 @@ class GaussianSampling:
         self.training = True
         self._rng = np.random.default_rng(seed)
 
-    def parameters(self):
-        return []
-
     def __call__(self, mu: Tensor, logvar: Tensor, eps: np.ndarray | None = None) -> Tensor:
         if mu.shape != logvar.shape:
             raise ShapeMismatchError(f"mu/logvar shapes differ: {mu.shape} vs {logvar.shape}")
@@ -189,22 +147,16 @@ class GaussianSampling:
 
 
 class PowerNormalization:
-    """Scale each block so its mean squared entry equals target_power.
+    """Scale each block so its mean squared entry is 1.
 
     Normalization pools over (positions x channels) per batch item; the
     per_position flag restricts pooling to each position's channel vector,
     which decouples positions entirely (used as a diagnostic).
     """
 
-    def __init__(self, target_power: float = 1.0, epsilon: float = 1e-12, per_position: bool = False):
-        if target_power <= 0.0:
-            raise DomainError(f"target_power must be positive, got {target_power}")
-        self.target_power = target_power
+    def __init__(self, epsilon: float = 1e-12, per_position: bool = False):
         self.epsilon = epsilon
         self.per_position = per_position
-
-    def parameters(self):
-        return []
 
     def __call__(self, x: Tensor) -> Tensor:
         if x.ndim != 3:
@@ -213,7 +165,7 @@ class PowerNormalization:
         mean_sq = (x.data ** 2).mean(axis=axes, keepdims=True)
         if np.any(mean_sq <= self.epsilon):
             raise DegenerateSignalError("signal power below epsilon, cannot normalize")
-        scale = np.sqrt(self.target_power / mean_sq)
+        scale = np.sqrt(1.0 / mean_sq)  # not 1 / sqrt: that can differ in the last bit
         out = x.data * scale
         n = int(np.prod([x.shape[a] for a in axes]))
         xd = x.data
@@ -225,28 +177,6 @@ class PowerNormalization:
         return from_op(out, (x,), grad)
 
 
-class Activation:
-    """Pointwise nonlinearity: one of elu, relu, linear."""
-
-    KINDS = ("elu", "relu", "linear")
-
-    def __init__(self, kind: str, *, name: str | None = None):
-        if kind not in self.KINDS:
-            raise DomainError(f"unknown activation {kind!r}, choose from {self.KINDS}")
-        self.kind = kind
-        self.name = name or kind
-
-    def parameters(self):
-        return []
-
-    def __call__(self, x: Tensor) -> Tensor:
-        if self.kind == "elu":
-            return elu(x)
-        if self.kind == "relu":
-            return relu(x)
-        return x
-
-
 def elu(x: Tensor) -> Tensor:
     # exp(x) - 1 on the negative side saturates to -1 for very negative x
     d = x.data
@@ -254,12 +184,6 @@ def elu(x: Tensor) -> Tensor:
     out = np.where(d >= 0.0, d, neg)
     slope = np.where(d >= 0.0, 1.0, neg + 1.0)
     return from_op(out, (x,), lambda g: (g * slope,))
-
-
-def relu(x: Tensor) -> Tensor:
-    d = x.data
-    mask = d > 0.0
-    return from_op(np.where(mask, d, 0.0), (x,), lambda g: (g * mask,))
 
 
 def softmax(x: Tensor) -> Tensor:

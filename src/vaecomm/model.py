@@ -1,25 +1,29 @@
-"""Transceiver assembly: encoder, sampling, power normalization, decoder.
+"""Transceiver assembly: the stage chain from one-hot messages to probabilities.
 
 The transmitter maps one-hot messages to a power-constrained latent signal;
 the receiver maps the channel output back to a categorical distribution.
-Every convolution is position-wise (kernel size 1), so a trained system can
-be applied to any block length.
+The chain is written once, as the TRANSMITTER and RECEIVER stage tuples:
+construction, forward passes, tracing, mode switching, parameter naming and
+the checkpoint's batch-norm list all iterate them. Every convolution is
+position-wise (kernel size 1), so a trained system can be applied to any
+block length.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .channels import CHANNEL_KINDS, ChannelModel
 from .errors import ConfigError, DomainError
 from .layers import (
-    Activation,
     BatchNorm1D,
     Conv1D,
     GaussianSampling,
     PowerNormalization,
+    elu,
     softmax,
 )
 from .losses import LossBreakdown, beta_vae_loss
@@ -78,6 +82,67 @@ class SystemConfig:
         return self.latent_multiplier * self.n
 
 
+class Stage(NamedTuple):
+    """One step of the chain: the layer ``CommSystem.<name>`` maps the env
+    entries named by ``inputs`` to the entry named ``output``. ``build``
+    makes the layer from (config, init generator, name)."""
+
+    name: str
+    inputs: tuple[str, ...]
+    output: str
+    build: Callable
+
+
+def _conv(fan_in: str, fan_out: str):
+    """Kernel-1 conv between two widths named by SystemConfig attributes."""
+    return lambda cfg, rng, name: Conv1D(getattr(cfg, fan_in), getattr(cfg, fan_out),
+                                         rng=rng, name=name)
+
+
+def _fixed(fn):
+    """A stateless stage: the same function for every config."""
+    return lambda cfg, rng, name: fn
+
+
+def _batchnorm(cfg, rng, name):
+    return BatchNorm1D(cfg.hidden_filters, name=name)
+
+
+def _sampling(cfg, rng, name):
+    return GaussianSampling(cfg.latent_dim, seed=derive_seed(cfg.seed, _SAMPLING_STREAM))
+
+
+def _power_norm(cfg, rng, name):
+    return PowerNormalization()
+
+
+# The convolutions draw their initial weights from one generator in this
+# order, so reordering stages changes the initial weights of every seed.
+TRANSMITTER = (
+    Stage("tx_conv1", ("x",), "h", _conv("M", "hidden_filters")),
+    Stage("tx_act1", ("h",), "h", _fixed(elu)),
+    Stage("tx_conv2", ("h",), "h", _conv("hidden_filters", "hidden_filters")),
+    Stage("tx_act2", ("h",), "h", _fixed(elu)),
+    Stage("tx_bn", ("h",), "h", _batchnorm),
+    Stage("mu_head", ("h",), "mu", _conv("hidden_filters", "latent_dim")),
+    Stage("logvar_head", ("h",), "logvar", _conv("hidden_filters", "latent_dim")),
+    Stage("sampling", ("mu", "logvar"), "latent", _sampling),
+    Stage("power_norm", ("latent",), "signal", _power_norm),
+)
+RECEIVER = (
+    Stage("rx_conv1", ("y",), "h", _conv("latent_dim", "hidden_filters")),
+    Stage("rx_act1", ("h",), "h", _fixed(elu)),
+    Stage("rx_bn", ("h",), "h", _batchnorm),
+    Stage("rx_conv2", ("h",), "h", _conv("hidden_filters", "M")),
+    Stage("softmax", ("h",), "probs", _fixed(softmax)),
+)
+STAGES = TRANSMITTER + RECEIVER
+
+# Parameter order: every conv in chain order, then every batch norm. The
+# checkpoint's layer list and clip_global_norm's summation follow it.
+_PARAMETER_FIELDS = ((Conv1D, ("weight", "bias")), (BatchNorm1D, ("gamma", "shift")))
+
+
 @dataclass
 class EndToEndResult:
     probs: Tensor
@@ -89,28 +154,22 @@ class EndToEndResult:
 
 
 class CommSystem:
-    """End-to-end learned transceiver built from a :class:`SystemConfig`."""
+    """End-to-end learned transceiver built from a :class:`SystemConfig`.
+
+    Each stage's layer is the attribute named after the stage.
+    """
 
     def __init__(self, config: SystemConfig):
         self.config = config
         self.training = True
         rng = np.random.default_rng(derive_seed(config.seed, _INIT_STREAM))
-        M, F, D = config.M, config.hidden_filters, config.latent_dim
+        for stage in STAGES:
+            setattr(self, stage.name, stage.build(config, rng, stage.name))
 
-        self.tx_conv1 = Conv1D(M, F, rng=rng, name="tx_conv1")
-        self.tx_act1 = Activation("elu", name="tx_act1")
-        self.tx_conv2 = Conv1D(F, F, rng=rng, name="tx_conv2")
-        self.tx_act2 = Activation("elu", name="tx_act2")
-        self.tx_bn = BatchNorm1D(F, name="tx_bn")
-        self.mu_head = Conv1D(F, D, rng=rng, name="mu_head")
-        self.logvar_head = Conv1D(F, D, rng=rng, name="logvar_head")
-        self.sampling = GaussianSampling(D, seed=derive_seed(config.seed, _SAMPLING_STREAM))
-        self.power_norm = PowerNormalization()
-
-        self.rx_conv1 = Conv1D(D, F, rng=rng, name="rx_conv1")
-        self.rx_act1 = Activation("elu", name="rx_act1")
-        self.rx_bn = BatchNorm1D(F, name="rx_bn")
-        self.rx_conv2 = Conv1D(F, M, rng=rng, name="rx_conv2")
+    def layers_of(self, kind: type | tuple[type, ...]) -> list[tuple[str, object]]:
+        """(stage name, layer) for every stage whose layer is a ``kind``, in chain order."""
+        return [(s.name, getattr(self, s.name)) for s in STAGES
+                if isinstance(getattr(self, s.name), kind)]
 
     # -- mode handling -------------------------------------------------------
 
@@ -122,24 +181,17 @@ class CommSystem:
 
     def _set_training(self, flag: bool) -> "CommSystem":
         self.training = flag
-        self.tx_bn.training = flag
-        self.rx_bn.training = flag
-        self.sampling.training = flag
+        for _, layer in self.layers_of((BatchNorm1D, GaussianSampling)):
+            layer.training = flag
         return self
 
     # -- parameters ------------------------------------------------------------
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        pairs = []
-        for lname in ("tx_conv1", "tx_conv2", "mu_head", "logvar_head", "rx_conv1", "rx_conv2"):
-            layer = getattr(self, lname)
-            pairs.append((f"{lname}.weight", layer.weight))
-            pairs.append((f"{lname}.bias", layer.bias))
-        for lname in ("tx_bn", "rx_bn"):
-            layer = getattr(self, lname)
-            pairs.append((f"{lname}.gamma", layer.gamma))
-            pairs.append((f"{lname}.shift", layer.shift))
-        return pairs
+        return [(f"{name}.{fld}", getattr(layer, fld))
+                for kind, fields in _PARAMETER_FIELDS
+                for name, layer in self.layers_of(kind)
+                for fld in fields]
 
     def parameters(self) -> list[Tensor]:
         return [t for _, t in self.named_parameters()]
@@ -149,57 +201,44 @@ class CommSystem:
 
     # -- forward passes -----------------------------------------------------------
 
+    def _run(self, stages, env: dict, record=None) -> dict:
+        for name, inputs, output, _ in stages:
+            env[output] = getattr(self, name)(*(env[i] for i in inputs))
+            if record is not None:
+                record.append((name, env[output].data))
+        return env
+
+    def _forward(self, x: Tensor, channel: ChannelModel, record=None) -> dict:
+        env = self._run(TRANSMITTER, {"x": x}, record)
+        env["y"] = channel.apply(env["signal"])
+        if record is not None:
+            record.append(("channel", env["y"].data))
+        return self._run(RECEIVER, env, record)
+
     def transmit(self, onehot) -> tuple[Tensor, Tensor, Tensor]:
         """One-hot messages (batch, L, M) to power-normalized signal, plus
         the posterior mu and logvar the signal was drawn from."""
-        x = self._check_onehot(onehot)
-        h = self.tx_act1(self.tx_conv1(x))
-        h = self.tx_act2(self.tx_conv2(h))
-        h = self.tx_bn(h)
-        mu = self.mu_head(h)
-        logvar = self.logvar_head(h)
-        latent = self.sampling(mu, logvar)
-        signal = self.power_norm(latent)
-        return signal, mu, logvar
+        env = self._run(TRANSMITTER, {"x": self._check_onehot(onehot)})
+        return env["signal"], env["mu"], env["logvar"]
 
     def receive(self, y: Tensor) -> Tensor:
         """Channel output (batch, L, latent_dim) to per-position probabilities."""
-        h = self.rx_act1(self.rx_conv1(y))
-        h = self.rx_bn(h)
-        return softmax(self.rx_conv2(h))
+        return self._run(RECEIVER, {"y": y})["probs"]
 
     def end_to_end(self, onehot, channel: ChannelModel) -> EndToEndResult:
         x = self._check_onehot(onehot)
-        signal, mu, logvar = self.transmit(x)
-        probs = self.receive(channel.apply(signal))
-        loss, breakdown = beta_vae_loss(probs, x, mu, logvar, self.config.beta)
-        return EndToEndResult(probs=probs, mu=mu, logvar=logvar, signal=signal,
-                              loss=loss, breakdown=breakdown)
+        env = self._forward(x, channel)
+        loss, breakdown = beta_vae_loss(env["probs"], x, env["mu"], env["logvar"],
+                                        self.config.beta)
+        return EndToEndResult(probs=env["probs"], mu=env["mu"], logvar=env["logvar"],
+                              signal=env["signal"], loss=loss, breakdown=breakdown)
 
     def trace(self, onehot, channel: ChannelModel) -> list[tuple[str, np.ndarray]]:
-        """Layer-by-layer forward capture, for locating non-finite values."""
-        x = self._check_onehot(onehot)
+        """Stage-by-stage forward capture, for locating non-finite values:
+        (stage name, output) for every stage, with the channel output between
+        transmitter and receiver as "channel"."""
         steps: list[tuple[str, np.ndarray]] = []
-
-        def rec(name, t):
-            steps.append((name, t.data))
-            return t
-
-        h = rec("tx_conv1", self.tx_conv1(x))
-        h = rec("tx_act1", self.tx_act1(h))
-        h = rec("tx_conv2", self.tx_conv2(h))
-        h = rec("tx_act2", self.tx_act2(h))
-        h = rec("tx_bn", self.tx_bn(h))
-        mu = rec("mu_head", self.mu_head(h))
-        logvar = rec("logvar_head", self.logvar_head(h))
-        latent = rec("sampling", self.sampling(mu, logvar))
-        signal = rec("power_norm", self.power_norm(latent))
-        y = rec("channel", channel.apply(signal))
-        h = rec("rx_conv1", self.rx_conv1(y))
-        h = rec("rx_act1", self.rx_act1(h))
-        h = rec("rx_bn", self.rx_bn(h))
-        h = rec("rx_conv2", self.rx_conv2(h))
-        rec("softmax", softmax(h))
+        self._forward(self._check_onehot(onehot), channel, steps)
         return steps
 
     def _check_onehot(self, onehot) -> Tensor:

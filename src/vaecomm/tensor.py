@@ -148,14 +148,6 @@ class Tensor:
         mask = x >= LOG_FLOOR
         return from_op(np.log(safe), (self,), lambda g: (g / safe * mask,))
 
-    def sqrt(self) -> "Tensor":
-        x = self.data
-        if np.any(x < 0.0):
-            raise DomainError("sqrt of negative value")
-        out = np.sqrt(x)
-        denom = 2.0 * np.sqrt(np.maximum(x, LOG_FLOOR))
-        return from_op(out, (self,), lambda g: (g / denom,))
-
     def square(self) -> "Tensor":
         x = self.data
         return from_op(x * x, (self,), lambda g: (2.0 * x * g,))
@@ -167,26 +159,6 @@ class Tensor:
         x = self.data
         mask = (x >= lo) & (x <= hi)
         return from_op(np.clip(x, lo, hi), (self,), lambda g: (g * mask,))
-
-    # -- linear algebra and shaping -----------------------------------------
-
-    def matmul(self, other: "Tensor") -> "Tensor":
-        a, b = self, _wrap(other)
-        if a.ndim != 2 or b.ndim != 2:
-            raise ShapeMismatchError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
-        if a.shape[1] != b.shape[0]:
-            raise ShapeMismatchError(f"matmul inner dims differ: {a.shape} vs {b.shape}")
-        ad, bd = a.data, b.data
-        return from_op(ad @ bd, (a, b), lambda g: (g @ bd.T, ad.T @ g))
-
-    def __matmul__(self, other):
-        return self.matmul(other)
-
-    def reshape(self, shape) -> "Tensor":
-        shape = tuple(shape)
-        old = self.data.shape
-        out = self.data.reshape(shape)
-        return from_op(out, (self,), lambda g: (g.reshape(old),))
 
     # -- reductions ----------------------------------------------------------
 

@@ -7,6 +7,7 @@ noise, and latent sampling each own an independent derived stream.
 
 from __future__ import annotations
 
+import copy
 import csv
 import json
 import logging
@@ -18,6 +19,7 @@ import numpy as np
 from .channels import ChannelModel
 from .data import Dataset, one_hot
 from .errors import DomainError, TrainingDivergedError
+from .layers import GaussianSampling
 from .model import CommSystem
 from .optim import Adam
 from .seeding import derive_seed
@@ -135,10 +137,11 @@ def train(system: CommSystem, dataset: Dataset, *, epochs: int, batch_size: int 
             if idx.size < 2:
                 continue  # batch statistics need at least two items
             x = one_hot(train_rows[idx], cfg.M)
+            states = [g.bit_generator.state for g in _generators(system, channel)]
             result = system.end_to_end(x, channel)
             value = result.breakdown.total
             if not np.isfinite(value):
-                layer = _first_non_finite_layer(system, x, cfg, epoch)
+                layer = _first_non_finite_layer(system, x, channel, states)
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, batch {start // batch_size}; "
                     f"first non-finite output in layer '{layer}'"
@@ -185,12 +188,22 @@ def _validation_loss(system: CommSystem, val_rows: np.ndarray, cfg, ebno_db: flo
     return total / val_rows.shape[0]
 
 
-def _first_non_finite_layer(system: CommSystem, x: Tensor, cfg, epoch: int) -> str:
-    probe = ChannelModel(cfg.channel_kind, 6.0, cfg.code_rate,
-                         rng_seed=derive_seed(cfg.seed, _CHANNEL_STREAM, epoch))
+def _generators(system: CommSystem, channel: ChannelModel) -> list[np.random.Generator]:
+    """Every stream a training forward draws from: channel noise, then latent sampling."""
+    return [channel._rng] + [layer._rng for _, layer in system.layers_of(GaussianSampling)]
+
+
+def _first_non_finite_layer(system: CommSystem, x: Tensor, channel: ChannelModel,
+                            states: list[dict]) -> str:
+    """Replay the failing batch on copies whose generators are rewound to the
+    states captured before it, so the trace sees the same noise and sampling
+    draws, and the live system and streams stay as the failing forward left them."""
+    replica, replica_channel = copy.deepcopy((system, channel))
+    for gen, state in zip(_generators(replica, replica_channel), states):
+        gen.bit_generator.state = state
     with no_grad():
         try:
-            for name, arr in system.trace(x, probe):
+            for name, arr in replica.trace(x, replica_channel):
                 if not np.isfinite(arr).all():
                     return name
         except Exception:  # the diverged forward itself may raise

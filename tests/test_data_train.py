@@ -12,6 +12,7 @@ from vaecomm.errors import DomainError, ShapeMismatchError, TrainingDivergedErro
 from vaecomm.model import CommSystem, SystemConfig
 from vaecomm.optim import Adam
 from vaecomm.tensor import Tensor
+from vaecomm import training
 from vaecomm.training import TrainingLog, clip_global_norm, train
 
 
@@ -267,6 +268,31 @@ def test_train_diverged_loss_names_a_layer():
     system.tx_conv1.weight.data[:] = np.nan
     with pytest.raises(TrainingDivergedError, match="tx_conv1"):
         train(system, tiny_dataset(cfg), epochs=1, batch_size=32)
+
+
+def test_divergence_probe_changes_no_state(monkeypatch):
+    # the probe replays the failing batch on copies: afterwards the system must
+    # be exactly as the failing forward left it, as in a twin run without a probe
+    cfg = small_config()
+
+    def diverging_system():
+        system = CommSystem(cfg)
+        system.rx_conv2.weight.data[:] = np.nan  # batch norms stay finite
+        return system
+
+    system = diverging_system()
+    with pytest.raises(TrainingDivergedError, match="rx_conv2"):
+        train(system, tiny_dataset(cfg), epochs=1, batch_size=32)
+    twin = diverging_system()
+    monkeypatch.setattr(training, "_first_non_finite_layer", lambda *args: "not probed")
+    with pytest.raises(TrainingDivergedError, match="not probed"):
+        train(twin, tiny_dataset(cfg), epochs=1, batch_size=32)
+
+    for a, b in ((system.tx_bn, twin.tx_bn), (system.rx_bn, twin.rx_bn)):
+        np.testing.assert_array_equal(a.running_mean, b.running_mean)
+        np.testing.assert_array_equal(a.running_var, b.running_var)
+    assert (system.sampling._rng.bit_generator.state
+            == twin.sampling._rng.bit_generator.state)
 
 
 def test_train_rejects_bad_arguments():

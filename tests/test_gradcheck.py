@@ -19,10 +19,10 @@ def test_every_component_passes_at_reduced_trials():
 
 def test_registry_covers_layers_and_losses():
     names = component_names()
-    for required in ("conv1d_k1_input", "conv1d_k3_input", "batchnorm_train",
-                     "batchnorm_eval", "gaussian_sampling_mu", "power_norm",
-                     "elu", "relu", "softmax", "kl_mu", "binary_cross_entropy",
-                     "beta_vae_loss"):
+    for required in ("log_chain", "conv1d_k1_input", "conv1d_weight", "batchnorm_train",
+                     "batchnorm_eval", "gaussian_sampling_mu", "gaussian_sampling_logvar",
+                     "power_norm", "power_norm_per_position", "elu", "softmax", "kl_mu",
+                     "binary_cross_entropy", "beta_vae_loss"):
         assert required in names
 
 

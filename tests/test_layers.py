@@ -3,13 +3,11 @@ import pytest
 
 from vaecomm import DegenerateSignalError, DomainError, ShapeMismatchError, Tensor, finite_difference_check
 from vaecomm.layers import (
-    Activation,
     BatchNorm1D,
     Conv1D,
     GaussianSampling,
     PowerNormalization,
     elu,
-    relu,
     softmax,
 )
 
@@ -62,23 +60,11 @@ def test_conv_channel_mismatch_names_counts():
     assert "5" in str(err.value) and "3" in str(err.value)
 
 
-def test_conv_wider_kernel_sees_neighbours():
-    conv = Conv1D(1, 1, kernel_size=3, rng=np.random.default_rng(0))
-    conv.weight.data[:] = 1.0
-    conv.bias.data[:] = 0.0
-    x = np.zeros((1, 5, 1))
-    x[0, 2, 0] = 1.0
-    out = conv(Tensor(x)).data[0, :, 0]
-    np.testing.assert_allclose(out, [0.0, 1.0, 1.0, 1.0, 0.0])
-
-
-@pytest.mark.parametrize("kernel,stride", [(1, 1), (3, 1), (3, 2), (2, 1)])
-def test_conv_gradients_match_finite_differences(kernel, stride):
-    rng = np.random.default_rng(kernel * 10 + stride)
-    conv = Conv1D(3, 4, kernel_size=kernel, stride=stride, rng=rng)
+def test_conv_gradients_match_finite_differences():
+    rng = np.random.default_rng(11)
+    conv = Conv1D(3, 4, rng=rng)
     x = rng.normal(size=(2, 6, 3))
-    out_len = -(-6 // stride)
-    probe = _linear_probe(rng, (2, out_len, 4))
+    probe = _linear_probe(rng, (2, 6, 4))
 
     report = finite_difference_check(lambda t: (conv(t) * probe).sum(), Tensor(x))
     assert report.passed, ("input", report.max_rel_err)
@@ -286,12 +272,6 @@ def test_power_norm_per_position_mode():
     np.testing.assert_allclose((out ** 2).mean(axis=2), 1.0, atol=1e-9)
 
 
-def test_power_norm_custom_target():
-    rng = np.random.default_rng(13)
-    out = PowerNormalization(target_power=2.5)(Tensor(rng.normal(size=(3, 4, 2)))).data
-    np.testing.assert_allclose((out ** 2).mean(axis=(1, 2)), 2.5, atol=1e-9)
-
-
 @pytest.mark.parametrize("per_position", [False, True])
 def test_power_norm_gradients_match_finite_differences(per_position):
     rng = np.random.default_rng(14)
@@ -313,27 +293,12 @@ def test_elu_values():
     assert out.data[3] == 2.0
 
 
-def test_relu_values():
-    out = relu(Tensor(np.array([-2.0, 0.0, 3.0])))
-    np.testing.assert_array_equal(out.data, [0.0, 0.0, 3.0])
-
-
-def test_activation_dispatch_and_unknown_kind():
-    x = Tensor(np.array([-1.0, 1.0]))
-    np.testing.assert_array_equal(Activation("linear")(x).data, x.data)
-    np.testing.assert_array_equal(Activation("relu")(x).data, relu(x).data)
-    with pytest.raises(DomainError):
-        Activation("tanh")
-
-
-@pytest.mark.parametrize("kind", ["elu", "relu"])
-def test_activation_gradients_match_finite_differences(kind):
+def test_elu_gradients_match_finite_differences():
     rng = np.random.default_rng(15)
-    act = Activation(kind)
-    # keep inputs away from the relu kink at 0
+    # keep inputs away from 0, where the second derivative jumps
     x = rng.normal(size=(3, 4)) + np.where(rng.normal(size=(3, 4)) > 0, 0.5, -0.5)
     probe = _linear_probe(rng, (3, 4))
-    report = finite_difference_check(lambda t: (act(t) * probe).sum(), Tensor(x))
+    report = finite_difference_check(lambda t: (elu(t) * probe).sum(), Tensor(x))
     assert report.passed, report.max_rel_err
 
 

@@ -7,7 +7,7 @@ import pytest
 from vaecomm import CheckpointError, ConfigError, DomainError, Tensor
 from vaecomm.channels import ChannelModel
 from vaecomm.checkpoint import load_checkpoint, save_checkpoint
-from vaecomm.model import CommSystem, EndToEndResult, SystemConfig
+from vaecomm.model import RECEIVER, STAGES, TRANSMITTER, CommSystem, EndToEndResult, SystemConfig
 
 
 def desk_config(**overrides):
@@ -62,6 +62,20 @@ def test_build_shapes():
     assert sys_.logvar_head.weight.shape == (4, 32, 1)
     assert sys_.rx_conv2.weight.shape == (16, 32, 1)
     assert sys_.tx_bn.channels == 32
+
+
+def test_every_stage_is_a_callable_attribute():
+    sys_ = CommSystem(desk_config())
+    for stage in STAGES:
+        assert callable(getattr(sys_, stage.name)), stage.name
+
+
+def test_named_parameters_keep_the_checkpoint_order():
+    # the checkpoint's layer list and clip_global_norm's summation follow this order
+    names = [n for n, _ in CommSystem(desk_config()).named_parameters()]
+    convs = ("tx_conv1", "tx_conv2", "mu_head", "logvar_head", "rx_conv1", "rx_conv2")
+    assert names == [f"{c}.{f}" for c in convs for f in ("weight", "bias")] + [
+        "tx_bn.gamma", "tx_bn.shift", "rx_bn.gamma", "rx_bn.shift"]
 
 
 def test_build_same_seed_identical_weights():
@@ -165,6 +179,21 @@ def test_end_to_end_returns_finite_loss_and_gradients_reach_first_layer():
     assert np.abs(sys_.tx_conv1.weight.grad).max() > 0.0
 
 
+def test_end_to_end_checks_its_input_once(monkeypatch):
+    cfg = desk_config()
+    check = CommSystem._check_onehot
+    calls = []
+
+    def counting_check(self, onehot):
+        calls.append(onehot)
+        return check(self, onehot)
+
+    monkeypatch.setattr(CommSystem, "_check_onehot", counting_check)
+    ch = ChannelModel("awgn", 6.0, cfg.code_rate, rng_seed=2)
+    CommSystem(cfg).end_to_end(onehot_batch(cfg, np.random.default_rng(6)), ch)
+    assert len(calls) == 1
+
+
 def test_end_to_end_breakdown_consistent():
     cfg = desk_config()
     sys_ = CommSystem(cfg).train_mode()
@@ -186,6 +215,7 @@ def test_trace_names_every_stage():
         "logvar_head", "sampling", "power_norm", "channel", "rx_conv1",
         "rx_act1", "rx_bn", "rx_conv2", "softmax",
     ]
+    assert names == [s.name for s in TRANSMITTER] + ["channel"] + [s.name for s in RECEIVER]
     for name, arr in steps:
         assert np.isfinite(arr).all(), name
 

@@ -61,27 +61,8 @@ def test_log_of_zero_is_floored():
     assert out.data[0] == math.log(1e-12)
 
 
-def test_sqrt_of_negative_raises():
-    with pytest.raises(DomainError):
-        Tensor([-4.0]).sqrt()
-
-
-def test_square_and_sqrt_values():
+def test_square_values():
     np.testing.assert_array_equal(Tensor([3.0, -2.0]).square().data, [9.0, 4.0])
-    np.testing.assert_array_equal(Tensor([9.0, 16.0]).sqrt().data, [3.0, 4.0])
-
-
-def test_matmul_identity():
-    a = np.arange(6, dtype=float).reshape(2, 3)
-    out = Tensor(a).matmul(Tensor(np.eye(3)))
-    np.testing.assert_array_equal(out.data, a)
-
-
-def test_matmul_shape_checks():
-    with pytest.raises(ShapeMismatchError):
-        Tensor(np.zeros((2, 3))).matmul(Tensor(np.zeros((2, 3))))
-    with pytest.raises(ShapeMismatchError):
-        Tensor(np.zeros(3)).matmul(Tensor(np.zeros((3, 2))))
 
 
 def test_reductions():
@@ -160,7 +141,6 @@ def test_forward_stays_finite_on_random_inputs():
         outs = [
             Tensor(x).exp(),
             Tensor(np.abs(x)).log(),
-            Tensor(np.abs(x)).sqrt(),
             Tensor(x).square(),
             (Tensor(x) * Tensor(x)).sum(),
         ]
@@ -180,7 +160,7 @@ def test_same_seed_same_results():
         rng = np.random.default_rng(seed)
         x = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
         w = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
-        loss = x.matmul(w).square().mean()
+        loss = (x * w).square().mean()
         loss.backward()
         return loss.item(), x.grad.copy(), w.grad.copy()
 
@@ -194,12 +174,12 @@ def test_same_seed_same_results():
 # -- finite-difference checker itself --------------------------------------
 
 
-def test_fd_check_passes_on_matmul_reduce():
+def test_fd_check_passes_on_mul_reduce():
     rng = np.random.default_rng(0)
-    w = rng.normal(size=(4, 3))
+    w = rng.normal(size=(2, 4))
 
     def f(x):
-        return x.matmul(Tensor(w)).square().sum()
+        return (x * Tensor(w)).square().sum(axis=1).mean()
 
     report = finite_difference_check(f, Tensor(rng.normal(size=(2, 4))))
     assert report.passed, report.max_rel_err
@@ -241,11 +221,11 @@ def test_fd_check_over_seeded_configs():
     for seed in range(25):
         rng = np.random.default_rng(seed)
         m, n = int(rng.integers(2, 5)), int(rng.integers(2, 5))
-        w = rng.normal(size=(n, m))
-        c = rng.normal(size=(m, m))
+        w = rng.normal(size=(m, n))
+        c = rng.normal(size=(m, n))
 
         def f(x, w=w, c=c):
-            h = x.matmul(Tensor(w))
+            h = x * Tensor(w) - x.square() * 0.3
             h = (h * Tensor(c) + h.square() * 0.5 - h.mean()).exp().log()
             return (h.sum(axis=0) * 2.0).sum() + h.clip(-0.8, 0.8).mean()
 
