@@ -2,12 +2,17 @@
 
 Floats are serialized through Python's shortest round-trip repr, so a
 write / read / write cycle is byte-identical and parameters survive exactly.
+
+Version 2 stores the block length the system was trained at. Version 1
+files, which did not, still load, at the block length they always loaded
+with (``V1_BLOCK_LENGTH``), and warn that it was assumed.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import warnings
 
 import numpy as np
 
@@ -15,9 +20,11 @@ from .errors import CheckpointError, ConfigError
 from .layers import BatchNorm1D
 from .model import CommSystem, SystemConfig
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+V1_BLOCK_LENGTH = 100
 
-_CONFIG_FIELDS = ("k", "n", "latent_multiplier", "hidden_filters", "beta", "channel_kind", "seed")
+_CONFIG_FIELDS = ("k", "n", "latent_multiplier", "hidden_filters", "beta", "channel_kind",
+                  "block_length", "seed")
 
 
 def save_checkpoint(system: CommSystem, path: str) -> None:
@@ -51,12 +58,17 @@ def load_checkpoint(path: str) -> CommSystem:
         raise CheckpointError("checkpoint root must be an object")
 
     version = doc.get("format_version")
-    if version != FORMAT_VERSION:
-        raise CheckpointError(f"field 'format_version': expected {FORMAT_VERSION}, got {version!r}")
+    if version not in (1, FORMAT_VERSION):
+        raise CheckpointError(
+            f"field 'format_version': expected {FORMAT_VERSION} (or 1), got {version!r}")
 
     cfg_doc = doc.get("config")
     if not isinstance(cfg_doc, dict):
         raise CheckpointError("field 'config': missing or not an object")
+    if version == 1:
+        cfg_doc = {**cfg_doc, "block_length": V1_BLOCK_LENGTH}
+        warnings.warn(f"checkpoint {path} is format version 1, which does not store the "
+                      f"block length; assuming L={V1_BLOCK_LENGTH}", stacklevel=2)
     missing = [f for f in _CONFIG_FIELDS if f not in cfg_doc]
     if missing:
         raise CheckpointError(f"field 'config': missing keys {missing}")

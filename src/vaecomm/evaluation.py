@@ -1,5 +1,12 @@
 """Block-error-rate measurement over an SNR sweep.
 
+In eval mode the transmitter is a fixed per-symbol map up to the per-block
+power norm, so each call first builds the system's (M, latent_dim) codebook
+of pre-normalization latents and every chunk encodes by a gather from it.
+Decisions are the argmax of the receiver's logits; the softmax is skipped.
+The codebook lives for one call only. The reference path (``transmit`` and
+``receive``) trains the system and is the tests' oracle for this one.
+
 Work is chunked; every chunk derives its own message and channel streams from
 (seed, point index, chunk index), so results are identical no matter how the
 chunks are scheduled or how many worker threads run them. The thread cap comes
@@ -16,7 +23,6 @@ import numpy as np
 
 from .channels import ChannelModel
 from .curves import BlerCurve, BlerPoint, wilson_interval
-from .data import one_hot
 from .errors import ConfigError, DomainError
 from .seeding import derive_seed
 from .tensor import no_grad
@@ -61,7 +67,7 @@ def resolve_worker_count(requested: int | None = None) -> int:
     return os.cpu_count() or 1
 
 
-def _count_chunk(system, ebno_db: float, length: int, n_blocks: int, seed: int,
+def _count_chunk(system, codebook, ebno_db: float, length: int, n_blocks: int, seed: int,
                  point_idx: int, chunk_idx: int) -> tuple[int, int]:
     """Return (block_errors, symbol_errors) for one independent chunk."""
     cfg = system.config
@@ -71,15 +77,13 @@ def _count_chunk(system, ebno_db: float, length: int, n_blocks: int, seed: int,
                            rng_seed=derive_seed(seed, point_idx, chunk_idx, _CHANNEL_STREAM))
     symbols = msg_rng.integers(0, cfg.M, size=(n_blocks, length), dtype=np.int64)
     with no_grad():
-        signal, _, _ = system.transmit(one_hot(symbols, cfg.M))
-        received = channel.apply(signal)
-        probs = system.receive(received)
-    decided = np.argmax(probs.data, axis=2)
+        received = channel.apply(system.encode(codebook, symbols))
+        decided = np.argmax(system.logits(received).data, axis=2)
     wrong = decided != symbols
     return int(wrong.any(axis=1).sum()), int(wrong.sum())
 
 
-def _point_counts(system, ebno_db: float, length: int, n_blocks: int, seed: int,
+def _point_counts(system, codebook, ebno_db: float, length: int, n_blocks: int, seed: int,
                   point_idx: int, chunk_blocks: int, executor) -> tuple[int, int]:
     chunks = []
     start = 0
@@ -90,7 +94,8 @@ def _point_counts(system, ebno_db: float, length: int, n_blocks: int, seed: int,
         start += size
         idx += 1
     futures = [
-        executor.submit(_count_chunk, system, ebno_db, length, size, seed, point_idx, ci)
+        executor.submit(_count_chunk, system, codebook, ebno_db, length, size, seed,
+                        point_idx, ci)
         for ci, size in chunks
     ]
     block_errors = 0
@@ -134,12 +139,14 @@ def evaluate_bler(system, ebno_points, blocks_per_point: int, seed: int, *,
     if length < 1:
         raise DomainError(f"block_length must be >= 1, got {length}")
     name = default_label(system) if label is None else label
+    codebook = system.codebook(chunk_blocks)
 
     curve_points = []
     with ThreadPoolExecutor(max_workers=resolve_worker_count(workers)) as executor:
         for p_idx, ebno in enumerate(points):
             block_errors, symbol_errors = _point_counts(
-                system, ebno, length, blocks_per_point, seed, p_idx, chunk_blocks, executor)
+                system, codebook, ebno, length, blocks_per_point, seed, p_idx, chunk_blocks,
+                executor)
             lo, hi = wilson_interval(block_errors, blocks_per_point)
             curve_points.append(BlerPoint(
                 ebno_db=ebno,
@@ -165,15 +172,18 @@ def block_length_transfer(system, lengths, ebno_db: float, blocks_per_length: in
         raise DomainError(f"block lengths must be >= 1, got {sizes}")
     if blocks_per_length < 1:
         raise DomainError(f"blocks_per_length must be >= 1, got {blocks_per_length}")
+    if chunk_blocks < 1:
+        raise DomainError(f"chunk_blocks must be >= 1, got {chunk_blocks}")
     if system.training:
         raise ConfigError("block_length_transfer requires eval mode; call eval_mode() first")
 
     name = default_label(system) if label is None else label
+    codebook = system.codebook(chunk_blocks)
     records = []
     with ThreadPoolExecutor(max_workers=resolve_worker_count(workers)) as executor:
         for l_idx, length in enumerate(sizes):
             block_errors, symbol_errors = _point_counts(
-                system, float(ebno_db), length, blocks_per_length, seed, l_idx,
+                system, codebook, float(ebno_db), length, blocks_per_length, seed, l_idx,
                 chunk_blocks, executor)
             symbols = blocks_per_length * length
             b_lo, b_hi = wilson_interval(block_errors, blocks_per_length)

@@ -178,12 +178,24 @@ class PowerNormalization:
 
 
 def elu(x: Tensor) -> Tensor:
-    # exp(x) - 1 on the negative side saturates to -1 for very negative x
+    """exp(x) - 1 for x < 0, x otherwise; saturates to -1 for very negative x.
+
+    ``neg`` is exactly 0 wherever x >= 0, so adding max(x, 0) selects the
+    branch without a mask, and ``neg + 1`` is the slope on both sides.
+    """
     d = x.data
-    neg = np.exp(np.clip(d, -EXP_CLIP, EXP_CLIP)) - 1.0
-    out = np.where(d >= 0.0, d, neg)
-    slope = np.where(d >= 0.0, 1.0, neg + 1.0)
-    return from_op(out, (x,), lambda g: (g * slope,))
+    neg = np.clip(d, -EXP_CLIP, 0.0)
+    np.exp(neg, out=neg)
+    neg -= 1.0
+    out = np.maximum(d, 0.0)
+    out += neg
+
+    def grad(g):
+        slope = neg + 1.0
+        slope *= g
+        return (slope,)
+
+    return from_op(out, (x,), grad)
 
 
 def softmax(x: Tensor) -> Tensor:

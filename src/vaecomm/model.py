@@ -7,6 +7,12 @@ construction, forward passes, tracing, mode switching, parameter naming and
 the checkpoint's batch-norm list all iterate them. Every convolution is
 position-wise (kernel size 1), so a trained system can be applied to any
 block length.
+
+``transmit``/``receive`` run the whole chain and are the reference path:
+training and ``trace`` use them. Evaluation runs prefixes of the same tuples
+instead: ``codebook`` precomputes each message's pre-normalization latent
+once, ``encode`` gathers from it and power-normalizes, and ``logits`` stops
+the receiver before the softmax.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from .layers import (
 )
 from .losses import LossBreakdown, beta_vae_loss
 from .seeding import derive_seed
-from .tensor import Tensor
+from .tensor import Tensor, no_grad
 
 VALID_LATENT_MULTIPLIERS = (2, 4)
 
@@ -138,6 +144,12 @@ RECEIVER = (
 )
 STAGES = TRANSMITTER + RECEIVER
 
+# In eval mode every transmitter stage before the power norm maps each
+# position on its own (batch norm uses running stats, sampling returns mu),
+# and the softmax does not move the argmax. Evaluation runs these prefixes.
+_ENCODER = TRANSMITTER[:-1]  # one-hot -> pre-normalization latent
+_DECODER = RECEIVER[:-1]     # channel output -> logits
+
 # Parameter order: every conv in chain order, then every batch norm. The
 # checkpoint's layer list and clip_global_norm's summation follow it.
 _PARAMETER_FIELDS = ((Conv1D, ("weight", "bias")), (BatchNorm1D, ("gamma", "shift")))
@@ -240,6 +252,40 @@ class CommSystem:
         steps: list[tuple[str, np.ndarray]] = []
         self._forward(self._check_onehot(onehot), channel, steps)
         return steps
+
+    # -- eval-mode codebook path --------------------------------------------------
+
+    def codebook(self, max_rows: int) -> np.ndarray:
+        """Eval-mode pre-normalization latent of every message, shape (M, latent_dim).
+
+        Runs the transmitter stages before the power norm on one-hot slices of
+        at most ``max_rows`` messages, so no M x M identity is allocated.
+        """
+        if self.training:
+            raise ConfigError("codebook requires eval mode; call eval_mode() first")
+        if max_rows < 1:
+            raise DomainError(f"max_rows must be >= 1, got {max_rows}")
+        M = self.config.M
+        book = np.empty((M, self.config.latent_dim))
+        x = np.zeros((1, min(max_rows, M), M))  # one slice buffer, reused
+        with no_grad():
+            for start in range(0, M, max_rows):
+                rows = np.arange(min(max_rows, M - start))
+                x[0, rows, start + rows] = 1.0
+                latent = self._run(_ENCODER, {"x": Tensor(x[:, :rows.size])})["latent"]
+                book[start:start + rows.size] = latent.data[0]
+                x[0, rows, start + rows] = 0.0
+        return book
+
+    def encode(self, codebook: np.ndarray, symbols: np.ndarray) -> Tensor:
+        """Integer symbols (batch, L) to the power-normalized signal: a gather
+        from ``codebook(...)`` and the power norm, equal to eval-mode transmit."""
+        return self.power_norm(Tensor(codebook[symbols]))
+
+    def logits(self, y: Tensor) -> Tensor:
+        """Channel output (batch, L, latent_dim) to the receiver's pre-softmax
+        scores; their argmax is the decision."""
+        return self._run(_DECODER, {"y": y})["h"]
 
     def _check_onehot(self, onehot) -> Tensor:
         x = onehot if isinstance(onehot, Tensor) else Tensor(np.asarray(onehot, dtype=np.float64))

@@ -18,6 +18,7 @@ from .errors import DomainError, NonDeterministicFunctionError, ShapeMismatchErr
 
 EXP_CLIP = 700.0
 LOG_FLOOR = 1e-12
+FD_ROUNDING_TO_FLOOR = 1e6
 
 _counter = itertools.count()
 _state = threading.local()
@@ -258,8 +259,11 @@ def finite_difference_check(f, x: Tensor, step: float = 1e-5, rel_tol: float = 1
     central finite differences.
 
     ``f`` must be deterministic; it is evaluated twice and a mismatch raises
-    NonDeterministicFunctionError. Relative error uses an absolute floor of
-    1e-8 in the denominator.
+    NonDeterministicFunctionError. Relative error uses a per-entry floor in
+    the denominator: 1e-8, or ``FD_ROUNDING_TO_FLOOR`` times the central
+    difference's own rounding error, eps * max|f(x +- step)| / step, if
+    larger. A large constant part in f makes that rounding error large next
+    to small gradient entries; the floor keeps it at a relative 1e-6.
     """
     if step <= 0.0:
         raise DomainError(f"step must be positive, got {step}")
@@ -276,7 +280,8 @@ def finite_difference_check(f, x: Tensor, step: float = 1e-5, rel_tol: float = 1
     analytic = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
 
     numeric = np.zeros_like(leaf.data)
-    flat = numeric.reshape(-1)
+    magnitude = np.zeros_like(leaf.data)  # max |f| of each central difference
+    flat, mag = numeric.reshape(-1), magnitude.reshape(-1)
     base = x.data.copy().reshape(-1)
     with no_grad():
         for i in range(base.size):
@@ -287,7 +292,10 @@ def finite_difference_check(f, x: Tensor, step: float = 1e-5, rel_tol: float = 1
             lo = float(f(Tensor(base.reshape(x.data.shape))).data)
             base[i] = orig
             flat[i] = (hi - lo) / (2.0 * step)
+            mag[i] = max(abs(hi), abs(lo))
 
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
+    rounding = np.finfo(np.float64).eps * magnitude / step
+    floor = np.maximum(FD_ROUNDING_TO_FLOOR * rounding, 1e-8)
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
     max_rel = float(np.max(np.abs(analytic - numeric) / denom)) if base.size else 0.0
     return GradCheckReport(max_rel_err=max_rel, passed=max_rel < rel_tol)

@@ -131,7 +131,8 @@ def train(system: CommSystem, dataset: Dataset, *, epochs: int, batch_size: int 
         system.train_mode()
         perm = shuffle_rng.permutation(train_rows.shape[0])
         loss_sum = kl_sum = recon_sum = 0.0
-        seen = 0
+        seen = batches = clipped = 0
+        max_norm = 0.0
         for start in range(0, perm.size, batch_size):
             idx = perm[start:start + batch_size]
             if idx.size < 2:
@@ -149,13 +150,16 @@ def train(system: CommSystem, dataset: Dataset, *, epochs: int, batch_size: int 
             optimizer.zero_grad()
             result.loss.backward()
             norm = clip_global_norm(system.parameters(), clip_norm)
-            if norm > clip_norm:
-                log.info("epoch %d: gradient norm %.3f clipped to %.1f", epoch, norm, clip_norm)
+            batches += 1
+            clipped += norm > clip_norm
+            max_norm = max(max_norm, norm)
             optimizer.step()
             loss_sum += value * idx.size
             kl_sum += result.breakdown.kl_term * idx.size
             recon_sum += result.breakdown.reconstruction_term * idx.size
             seen += idx.size
+        log.info("epoch %d: %d of %d batches clipped, max norm %.3f",
+                 epoch, clipped, batches, max_norm)
 
         val_loss = _validation_loss(system, val_rows, cfg, train_ebno_db, batch_size)
         logbook.records.append(EpochRecord(

@@ -223,6 +223,18 @@ def test_sweep_row_count_and_determinism(tmp_path, capsys):
     assert curve_a.read_bytes() == curve_b.read_bytes()
 
 
+def test_sweep_defaults_to_the_checkpoint_block_length(tmp_path, capsys):
+    _, ckpt = run_train(tmp_path, extra=("--L", "10"))
+    curves = {}
+    for name, extra in (("stored", ()), ("explicit", ("--L", "10"))):
+        curves[name] = tmp_path / f"{name}.csv"
+        code = main(["sweep", "--checkpoint", str(ckpt), "--ebno", "0:2:1", "--blocks", "8",
+                     "--seed", "4", "--out", str(curves[name]), *extra])
+        assert code == 0
+    capsys.readouterr()
+    assert curves["stored"].read_bytes() == curves["explicit"].read_bytes()
+
+
 def test_sweep_requires_checkpoint(capsys):
     assert main(["sweep", "--out", "c.csv"]) == 2
     assert "--checkpoint" in capsys.readouterr().err

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import logging
 import math
 
 import numpy as np
@@ -253,6 +254,18 @@ def test_train_is_bitwise_deterministic():
         assert ra.reconstruction_term == rb.reconstruction_term
     for pa, pb in zip(params_a, params_b):
         np.testing.assert_array_equal(pa, pb)
+
+
+def test_train_logs_clipping_once_per_epoch(caplog):
+    cfg = small_config()
+    system = CommSystem(cfg)
+    # 87 training rows in batches of 32: three batches, all clipped at this norm
+    with caplog.at_level(logging.INFO, logger="vaecomm.training"):
+        train(system, tiny_dataset(cfg), epochs=2, batch_size=32, clip_norm=1e-6)
+    messages = [r.getMessage() for r in caplog.records if r.name == "vaecomm.training"]
+    assert len(messages) == 2
+    for epoch, message in enumerate(messages, 1):
+        assert message.startswith(f"epoch {epoch}: 3 of 3 batches clipped, max norm ")
 
 
 def test_train_leaves_system_in_eval_mode():

@@ -1,12 +1,18 @@
-"""Error-rate measurement: counting, sharding determinism, worker limits."""
+"""Error-rate measurement: the codebook path against the reference path,
+counting, sharding determinism, worker limits."""
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vaecomm.data import generate_dataset
+from vaecomm import evaluation
+from vaecomm.channels import ChannelModel
+from vaecomm.data import generate_dataset, one_hot
 from vaecomm.errors import ConfigError, DomainError
 from vaecomm.evaluation import (
     THREADS_ENV_VAR,
@@ -17,13 +23,16 @@ from vaecomm.evaluation import (
     transfer_to_csv,
     transfer_to_json,
 )
+from vaecomm.layers import BatchNorm1D
 from vaecomm.model import CommSystem, SystemConfig
-from vaecomm.tensor import Tensor
+from vaecomm.seeding import derive_seed
+from vaecomm.tensor import Tensor, no_grad
 from vaecomm.training import train
 
 
 class EchoSystem:
-    """Duck-typed stand-in whose receiver returns the transmitted one-hot.
+    """Duck-typed stand-in whose codebook is the identity and whose receiver
+    returns its input, so the logits are the transmitted one-hot.
 
     With a noiseless channel every decision matches its label, giving exact
     zero error counts for counting tests.
@@ -34,26 +43,93 @@ class EchoSystem:
                                    hidden_filters=4, block_length=block_length)
         self.training = False
 
-    def transmit(self, onehot):
-        return onehot, None, None
+    def codebook(self, max_rows):
+        return np.eye(self.config.M)
 
-    def receive(self, y):
+    def encode(self, codebook, symbols):
+        return Tensor(codebook[symbols])
+
+    def logits(self, y):
         return y
 
 
 class CorruptingSystem(EchoSystem):
     """EchoSystem that flips the first symbol of the first block it sees."""
 
-    def receive(self, y):
-        probs = y.data.copy()
-        probs[0, 0] = np.roll(probs[0, 0], 1)
-        return Tensor(probs)
+    def logits(self, y):
+        scores = y.data.copy()
+        scores[0, 0] = np.roll(scores[0, 0], 1)
+        return Tensor(scores)
 
 
 def small_system(seed=11, channel_kind="awgn"):
     cfg = SystemConfig(k=2, n=1, latent_multiplier=2, hidden_filters=16,
                        block_length=4, seed=seed, channel_kind=channel_kind)
     return CommSystem(cfg).eval_mode()
+
+
+# ----------------------------------------- codebook path vs reference path
+
+
+def chunk_streams(cfg, ebno_db, length, n_blocks, seed):
+    """The symbols and channel of chunk 0 at point 0, as _count_chunk draws them."""
+    msg_rng = np.random.default_rng(derive_seed(seed, 0, 0, evaluation._MESSAGE_STREAM))
+    channel = ChannelModel(cfg.channel_kind, ebno_db, cfg.code_rate,
+                           rng_seed=derive_seed(seed, 0, 0, evaluation._CHANNEL_STREAM))
+    return msg_rng.integers(0, cfg.M, size=(n_blocks, length), dtype=np.int64), channel
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.sampled_from([1, 2, 4, 8]), n=st.sampled_from([1, 2]), m=st.sampled_from([2, 4]),
+       kind=st.sampled_from(["awgn", "rayleigh"]), length=st.sampled_from([1, 3, 10]),
+       rows=st.integers(1, 40), seed=st.integers(0, 2**16))
+def test_codebook_path_matches_transmit_and_receive(k, n, m, kind, length, rows, seed):
+    cfg = SystemConfig(k=k, n=n, latent_multiplier=m, hidden_filters=16, block_length=length,
+                       channel_kind=kind, seed=seed)
+    system = CommSystem(cfg).eval_mode()
+    rng = np.random.default_rng(seed)
+    for _, bn in system.layers_of(BatchNorm1D):  # running stats away from (0, 1)
+        bn.running_mean = rng.normal(size=bn.channels)
+        bn.running_var = rng.uniform(0.5, 2.0, size=bn.channels)
+    codebook = system.codebook(rows)
+    ebno_db, n_blocks = 2.0, 9
+
+    symbols, channel = chunk_streams(cfg, ebno_db, length, n_blocks, seed)
+    with no_grad():
+        reference, _, _ = system.transmit(one_hot(symbols, cfg.M))
+        decided = np.argmax(system.receive(channel.apply(reference)).data, axis=2)
+        signal = system.encode(codebook, symbols)
+    np.testing.assert_allclose(signal.data, reference.data, rtol=0.0, atol=1e-12)
+    _, channel = chunk_streams(cfg, ebno_db, length, n_blocks, seed)
+    with no_grad():
+        fast = np.argmax(system.logits(channel.apply(signal)).data, axis=2)
+    np.testing.assert_array_equal(fast, decided)
+
+    wrong = decided != symbols
+    assert evaluation._count_chunk(system, codebook, ebno_db, length, n_blocks, seed, 0, 0) == (
+        int(wrong.any(axis=1).sum()), int(wrong.sum()))
+
+
+def test_codebook_builds_in_slices_without_an_identity():
+    system = CommSystem(SystemConfig(k=12, n=2, hidden_filters=32)).eval_mode()
+    rows = 64
+    slice_bytes = rows * system.config.M * 8  # one float64 one-hot slice
+    tracemalloc.start()
+    try:
+        system.codebook(rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * slice_bytes  # an M x M identity would be 64 slices
+
+
+def test_codebook_rejects_train_mode_and_empty_slices():
+    system = small_system()
+    with pytest.raises(DomainError, match="max_rows"):
+        system.codebook(0)
+    system.train_mode()
+    with pytest.raises(ConfigError, match="eval"):
+        system.codebook(4)
 
 
 # ------------------------------------------------------------- counting
@@ -241,6 +317,8 @@ def test_transfer_rejects_bad_arguments():
         block_length_transfer(system, [0], 5.0, blocks_per_length=10, seed=0)
     with pytest.raises(DomainError):
         block_length_transfer(system, [5], 5.0, blocks_per_length=0, seed=0)
+    with pytest.raises(DomainError):
+        block_length_transfer(system, [5], 5.0, blocks_per_length=10, seed=0, chunk_blocks=0)
     system.train_mode()
     with pytest.raises(ConfigError):
         block_length_transfer(system, [5], 5.0, blocks_per_length=10, seed=0)

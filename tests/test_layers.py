@@ -293,6 +293,24 @@ def test_elu_values():
     assert out.data[3] == 2.0
 
 
+def _elu_where(d):
+    """The np.where formula elu replaced; the oracle for its values and slope."""
+    neg = np.exp(np.clip(d, -700.0, 700.0)) - 1.0
+    return np.where(d >= 0.0, d, neg), np.where(d >= 0.0, 1.0, neg + 1.0)
+
+
+def test_elu_matches_the_where_formula_bit_for_bit():
+    special = np.array([np.inf, -np.inf, np.nan, -700.5, -1e-300, 0.0, -0.0, 700.5, 1e-300])
+    rng = np.random.default_rng(8)
+    for d in (special, rng.normal(size=(4, 6, 5)) * 3.0, rng.normal(size=1000) * 300.0):
+        x = Tensor(d, requires_grad=True)
+        out = elu(x)
+        (out * Tensor(np.ones_like(d))).sum().backward()
+        want_out, want_slope = _elu_where(d)
+        assert np.array_equal(out.data, want_out, equal_nan=True)
+        assert np.array_equal(x.grad, want_slope, equal_nan=True)
+
+
 def test_elu_gradients_match_finite_differences():
     rng = np.random.default_rng(15)
     # keep inputs away from 0, where the second derivative jumps

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -277,7 +278,24 @@ def test_checkpoint_roundtrip_preserves_everything(tmp_path):
         np.testing.assert_array_equal(ta.data, tb.data)
     np.testing.assert_array_equal(sys_.tx_bn.running_mean, loaded.tx_bn.running_mean)
     np.testing.assert_array_equal(sys_.rx_bn.running_var, loaded.rx_bn.running_var)
-    assert loaded.config.k == cfg.k and loaded.config.seed == cfg.seed
+    assert loaded.config == cfg  # block_length=10 included
+
+
+def test_version_1_checkpoint_loads_at_l100_and_warns(tmp_path):
+    cfg = desk_config(seed=13)
+    sys_ = CommSystem(cfg)
+    p = tmp_path / "m.json"
+    save_checkpoint(sys_, str(p))
+    doc = json.loads(p.read_text())
+    doc["format_version"] = 1
+    del doc["config"]["block_length"]
+    old = tmp_path / "v1.json"
+    old.write_text(json.dumps(doc))
+    with pytest.warns(UserWarning, match="L=100"):
+        loaded = load_checkpoint(str(old))
+    assert loaded.config == dataclasses.replace(cfg, block_length=100)
+    for (_, ta), (_, tb) in zip(sys_.named_parameters(), loaded.named_parameters()):
+        np.testing.assert_array_equal(ta.data, tb.data)
 
 
 def test_checkpoint_loaded_system_predicts_identically(tmp_path):

@@ -201,6 +201,19 @@ def test_fd_check_catches_broken_gradient():
     assert report.max_rel_err > 1e-2
 
 
+def test_fd_check_tolerates_rounding_of_a_large_constant():
+    # the gradient is exactly w; the 1e6 offset rounds each f(x +- step) by
+    # up to 6e-11, which a fixed 1e-8 floor read as an error of order 1 on
+    # the tiny and zero entries of w
+    w = np.array([1.0, -0.5, 1e-7, 0.0, 2e-9, 3.0])
+
+    def f(x):
+        return (x * Tensor(w)).sum() + 1e6
+
+    report = finite_difference_check(f, Tensor(np.random.default_rng(3).normal(size=6)))
+    assert report.passed, report.max_rel_err
+
+
 def test_fd_check_rejects_bad_step():
     with pytest.raises(DomainError):
         finite_difference_check(lambda t: t.sum(), Tensor([1.0]), step=0.0)
