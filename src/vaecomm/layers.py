@@ -49,12 +49,15 @@ class Conv1D:
         batch, length, _ = x.shape
         w2d = self.weight.data[:, :, 0].T  # (in, out)
         xd = x.data.reshape(batch * length, self.in_channels)
-        out = (xd @ w2d + self.bias.data).reshape(batch, length, self.out_channels)
+        out = xd @ w2d
+        out += self.bias.data
+        out = out.reshape(batch, length, self.out_channels)
         w, b = self.weight, self.bias
 
         def grad(g):
             g2d = g.reshape(batch * length, self.out_channels)
-            gx = (g2d @ w2d.T).reshape(x.shape)
+            # a constant input (the one-hot messages) needs no gradient
+            gx = (g2d @ w2d.T).reshape(x.shape) if x.requires_grad else None
             gw = (xd.T @ g2d).T[:, :, None]  # back to (out, in, 1)
             gb = g2d.sum(axis=0)
             return gx, gw, gb
@@ -68,6 +71,11 @@ class BatchNorm1D:
     Training normalizes with biased batch statistics and tracks running
     stats with the update r = momentum * r + (1 - momentum) * batch.
     Evaluation uses the running statistics only.
+
+    Forward and backward work on the (batch * positions, channels) view and
+    compute each full-width quantity once. The variance is sum(centered^2)/n,
+    which is what ``np.var`` computes, and every expression keeps the operand
+    order of the textbook formulas, so the results equal them bit for bit.
     """
 
     def __init__(self, channels: int, momentum: float = 0.99, epsilon: float = 1e-3,
@@ -85,37 +93,42 @@ class BatchNorm1D:
     def __call__(self, x: Tensor) -> Tensor:
         if x.ndim != 3 or x.shape[2] != self.channels:
             raise ShapeMismatchError(f"{self.name}: expected (batch, len, {self.channels}), got {x.shape}")
+        xd = x.data.reshape(-1, self.channels)
+        n = xd.shape[0]
         if self.training:
             if x.shape[0] < 2:
                 raise DomainError(f"{self.name}: train mode needs batch size >= 2, got {x.shape[0]}")
-            mean = x.data.mean(axis=(0, 1))
-            var = x.data.var(axis=(0, 1))
+            mean = xd.sum(axis=0) / n
+            x_hat = xd - mean
+            var = np.square(x_hat).sum(axis=0) / n
             self.running_mean = self.momentum * self.running_mean + (1.0 - self.momentum) * mean
             self.running_var = self.momentum * self.running_var + (1.0 - self.momentum) * var
         else:
-            mean = self.running_mean
+            x_hat = xd - self.running_mean
             var = self.running_var
 
         inv = 1.0 / np.sqrt(var + self.epsilon)
-        x_hat = (x.data - mean) * inv
-        out = self.gamma.data * x_hat + self.shift.data
+        x_hat *= inv
+        out = self.gamma.data * x_hat
+        out += self.shift.data
         gamma, training = self.gamma, self.training
-        n = x.shape[0] * x.shape[1]
 
         def grad(g):
-            ggamma = (g * x_hat).sum(axis=(0, 1))
-            gshift = g.sum(axis=(0, 1))
+            g2d = g.reshape(-1, self.channels)
+            gshift = g2d.sum(axis=0)
+            proj = g2d * x_hat
+            ggamma = proj.sum(axis=0)
             if training:
-                gx = (gamma.data * inv) * (
-                    g
-                    - g.mean(axis=(0, 1))
-                    - x_hat * (g * x_hat).sum(axis=(0, 1)) / n
-                )
+                np.multiply(x_hat, ggamma, out=proj)
+                proj /= n
+                gx = g2d - gshift / n
+                gx -= proj
+                gx *= gamma.data * inv
             else:
-                gx = g * (gamma.data * inv)
-            return gx, ggamma, gshift
+                gx = g2d * (gamma.data * inv)
+            return gx.reshape(x.shape), ggamma, gshift
 
-        return from_op(out, (x, self.gamma, self.shift), grad)
+        return from_op(out.reshape(x.shape), (x, self.gamma, self.shift), grad)
 
 
 class GaussianSampling:
@@ -201,12 +214,15 @@ def elu(x: Tensor) -> Tensor:
 def softmax(x: Tensor) -> Tensor:
     """Softmax over the last axis, stabilized by subtracting the row max."""
     d = x.data
-    shifted = d - d.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=-1, keepdims=True)
+    p = d - d.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
 
     def grad(g):
-        inner = (g * p).sum(axis=-1, keepdims=True)
-        return (p * (g - inner),)
+        gx = g * p
+        inner = gx.sum(axis=-1, keepdims=True)
+        np.subtract(g, inner, out=gx)
+        gx *= p
+        return (gx,)
 
     return from_op(p, (x,), grad)

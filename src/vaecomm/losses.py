@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeMismatchError
-from .tensor import Tensor
+from .tensor import LOG_FLOOR, Tensor, from_op
 
 PRED_CLIP = 1e-12
 
@@ -40,15 +40,48 @@ def kl_standard_normal(mu: Tensor, logvar: Tensor) -> Tensor:
 def binary_cross_entropy(pred: Tensor, target: Tensor) -> Tensor:
     """Multi-label BCE: -sum_m [t log p + (1-t) log(1-p)], averaged over
     leading axes. Predictions are clipped to [1e-12, 1 - 1e-12] first.
+
+    One autodiff node with a gradient for ``pred`` only. Its value and
+    gradient equal those of the same formula composed from Tensor ops (clip,
+    floored log, products, sum, mean) bit for bit: each expression below is
+    one of that graph's forward or backward steps, at most with the operands
+    of a product or sum swapped, which leaves every bit unchanged.
     """
     if pred.shape != target.shape:
         raise ShapeMismatchError(f"pred/target shapes differ: {pred.shape} vs {target.shape}")
     t = target.data
     if not np.all((t == 0.0) | (t == 1.0)):
         raise DomainError("target entries must be exactly 0 or 1")
-    p = pred.clip(PRED_CLIP, 1.0 - PRED_CLIP)
-    term = target * p.log() + (1.0 - target) * (1.0 - p).log()
-    return -(term.sum(axis=-1).mean())
+    p = pred.data
+    pc = np.clip(p, PRED_CLIP, 1.0 - PRED_CLIP)
+    # pc >= PRED_CLIP == LOG_FLOOR, so only log(1 - pc) can reach the floor:
+    # 1 - (1 - PRED_CLIP) rounds to just below it
+    safe_q = 1.0 - pc
+    above_floor = safe_q >= LOG_FLOOR
+    np.maximum(safe_q, LOG_FLOOR, out=safe_q)
+    # term = t * log(pc) + (1 - t) * log(safe_q), in as few buffers as possible
+    term = 1.0 - t
+    off = np.log(safe_q)
+    off *= term
+    np.log(pc, out=term)
+    term *= t
+    term += off
+    sums = term.sum(axis=-1)
+    n = sums.size
+
+    def grad(g):
+        c = -g / n
+        g_off = 1.0 - t
+        g_off *= c
+        g_off /= safe_q
+        g_off *= above_floor
+        gp = c * t
+        gp /= pc
+        gp -= g_off
+        gp *= pc == p  # the clip's mask: true iff lo <= p <= hi (false for NaN)
+        return (gp,)
+
+    return from_op(-sums.mean(), (pred,), grad)
 
 
 def beta_vae_loss(pred: Tensor, target: Tensor, mu: Tensor, logvar: Tensor,

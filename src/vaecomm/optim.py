@@ -35,11 +35,23 @@ class Adam:
                 continue
             if g.shape != p.data.shape:
                 raise ShapeMismatchError(f"grad shape {g.shape} vs param {p.data.shape}")
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * (g * g)
-            m_hat = self.m[i] / c1
-            v_hat = self.v[i] / c2
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.epsilon)
+            m, v = self.m[i], self.v[i]
+            # in place, in the operand order of
+            # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
+            # p = p - lr * (m/c1) / (sqrt(v/c2) + eps)
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            gg = g * g
+            gg *= 1.0 - self.beta2
+            v *= self.beta2
+            v += gg
+            step = m / c1
+            step *= self.lr
+            denom = v / c2
+            np.sqrt(denom, out=denom)
+            denom += self.epsilon
+            step /= denom
+            p.data = p.data - step
 
     def zero_grad(self) -> None:
         for p in self.params:

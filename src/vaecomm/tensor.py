@@ -126,7 +126,12 @@ class Tensor:
         a, b = self, _wrap(other)
         out_data = _broadcast_binary(a, b, np.multiply)
         ad, bd = a.data, b.data
-        return from_op(out_data, (a, b), lambda g: (g * bd, g * ad))
+
+        def grad(g):  # no product for a constant operand
+            return (g * bd if a.requires_grad else None,
+                    g * ad if b.requires_grad else None)
+
+        return from_op(out_data, (a, b), grad)
 
     __rmul__ = __mul__
 

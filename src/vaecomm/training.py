@@ -77,18 +77,36 @@ class TrainingLog:
 
 
 def clip_global_norm(params, max_norm: float) -> float:
-    """Scale all gradients so their joint L2 norm is at most max_norm."""
+    """Scale all gradients so their joint L2 norm is at most max_norm.
+
+    Returns the norm before scaling. If the plain sum of squares overflows,
+    the norm is taken again on the gradients divided by their largest
+    magnitude. A norm that is still not finite (an inf or NaN entry, or a
+    norm past the float64 range) leaves the gradients as they are.
+    """
+    grads = [p.grad for p in params if p.grad is not None]
     total = 0.0
-    for p in params:
-        if p.grad is not None:
-            total += float((p.grad * p.grad).sum())
+    with np.errstate(over="ignore"):  # an overflow is handled below
+        for g in grads:
+            total += float((g * g).sum())
     norm = float(np.sqrt(total))
-    if norm > max_norm:
+    if norm == np.inf:
+        norm = _max_scaled_norm(grads)
+    if max_norm < norm < np.inf:
         scale = max_norm / norm
         for p in params:
             if p.grad is not None:
                 p.grad = p.grad * scale
     return norm
+
+
+def _max_scaled_norm(grads) -> float:
+    """L2 norm as peak * sqrt(sum((g / peak)^2)): squares of entries up to
+    the peak cannot overflow. Inf if any entry is inf."""
+    peak = max(float(np.abs(g).max()) for g in grads if g.size)
+    if peak == np.inf:
+        return peak
+    return peak * float(np.sqrt(sum(float(np.square(g / peak).sum()) for g in grads)))
 
 
 def train(system: CommSystem, dataset: Dataset, *, epochs: int, batch_size: int = 64,
@@ -150,6 +168,11 @@ def train(system: CommSystem, dataset: Dataset, *, epochs: int, batch_size: int 
             optimizer.zero_grad()
             result.loss.backward()
             norm = clip_global_norm(system.parameters(), clip_norm)
+            if not np.isfinite(norm):
+                raise TrainingDivergedError(
+                    f"non-finite gradient norm ({norm}) at epoch {epoch}, "
+                    f"batch {start // batch_size}"
+                )
             batches += 1
             clipped += norm > clip_norm
             max_norm = max(max_norm, norm)
@@ -158,18 +181,20 @@ def train(system: CommSystem, dataset: Dataset, *, epochs: int, batch_size: int 
             kl_sum += result.breakdown.kl_term * idx.size
             recon_sum += result.breakdown.reconstruction_term * idx.size
             seen += idx.size
-        log.info("epoch %d: %d of %d batches clipped, max norm %.3f",
-                 epoch, clipped, batches, max_norm)
-
         val_loss = _validation_loss(system, val_rows, cfg, train_ebno_db, batch_size)
-        logbook.records.append(EpochRecord(
+        record = EpochRecord(
             epoch=epoch,
             train_loss=loss_sum / seen,
             validation_loss=val_loss,
             kl_term=kl_sum / seen,
             reconstruction_term=recon_sum / seen,
             wall_time=time.perf_counter() - t0,
-        ))
+        )
+        logbook.records.append(record)
+        # symbols/s: training symbols over the whole epoch, validation included
+        log.info("epoch %d: %d of %d batches clipped, max norm %.3f, %.2f s, %.0f symbols/s",
+                 epoch, clipped, batches, max_norm, record.wall_time,
+                 seen * train_rows.shape[1] / record.wall_time)
 
     system.eval_mode()
     return logbook

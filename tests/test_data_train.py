@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vaecomm.data import Dataset, generate_dataset, one_hot
 from vaecomm.errors import DomainError, ShapeMismatchError, TrainingDivergedError
@@ -163,6 +165,53 @@ def test_adam_moment_buffers_match_parameter_shapes():
         assert v.shape == p.data.shape
 
 
+def _adam_composed(params, grad_steps, lr, beta1=0.9, beta2=0.999, epsilon=1e-8):
+    """The out-of-place update Adam replaced: its bit-for-bit oracle.
+
+    Returns the parameters and moments after every step in ``grad_steps``.
+    """
+    params = [p.copy() for p in params]
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    for t, grads in enumerate(grad_steps, 1):
+        c1 = 1.0 - beta1**t
+        c2 = 1.0 - beta2**t
+        for i, g in enumerate(grads):
+            if g is None:
+                continue
+            m[i] = beta1 * m[i] + (1.0 - beta1) * g
+            v[i] = beta2 * v[i] + (1.0 - beta2) * (g * g)
+            m_hat = m[i] / c1
+            v_hat = v[i] / c2
+            params[i] = params[i] - lr * m_hat / (np.sqrt(v_hat) + epsilon)
+    return params, m, v
+
+
+@settings(max_examples=30, deadline=None)
+@given(shapes=st.lists(st.lists(st.integers(1, 6), min_size=1, max_size=3).map(tuple),
+                       min_size=1, max_size=4),
+       seed=st.integers(0, 2**16))
+def test_adam_matches_the_out_of_place_update_bit_for_bit(shapes, seed):
+    rng = np.random.default_rng(seed)
+    start = [rng.normal(size=s) for s in shapes]
+    # ten steps over gradient scales from 1e-6 to 1e6; parameter 0 skips step 4
+    grad_steps = [[rng.normal(size=s) * 10.0 ** rng.integers(-6, 7) for s in shapes]
+                  for _ in range(10)]
+    grad_steps[3][0] = None
+    want_params, want_m, want_v = _adam_composed(start, grad_steps, lr=0.01)
+
+    params = [Tensor(p.copy(), requires_grad=True) for p in start]
+    opt = Adam(params, lr=0.01)
+    for grads in grad_steps:
+        for p, g in zip(params, grads):
+            p.grad = g
+        opt.step()
+    for p, m, v, wp, wm, wv in zip(params, opt.m, opt.v, want_params, want_m, want_v):
+        assert np.array_equal(p.data, wp)
+        assert np.array_equal(m, wm)
+        assert np.array_equal(v, wv)
+
+
 def test_adam_rejects_mismatched_gradient_shape():
     p = Tensor(np.zeros(3), requires_grad=True)
     opt = Adam([p])
@@ -189,6 +238,44 @@ def test_clip_global_norm_leaves_small_gradients_alone():
     norm = clip_global_norm([a], 5.0)
     assert norm == pytest.approx(0.5)
     np.testing.assert_array_equal(a.grad, [0.3, 0.4])
+
+
+def test_clip_global_norm_survives_an_overflowing_sum_of_squares():
+    # 1e200 squared overflows; the max-scaled norm still reads 1e200
+    a = Tensor(np.zeros(2), requires_grad=True)
+    b = Tensor(np.zeros(1), requires_grad=True)
+    a.grad = np.array([1e200, 3.0])
+    b.grad = np.array([-4e199])
+    norm = clip_global_norm([a, b], 5.0)
+    assert norm == pytest.approx(math.hypot(1e200, 4e199), rel=1e-15)
+    assert np.all(np.isfinite(a.grad)) and np.all(np.isfinite(b.grad))
+    joint = math.hypot(a.grad[0], a.grad[1], b.grad[0])
+    assert joint == pytest.approx(5.0, rel=1e-15)
+    assert a.grad[1] > 0.0
+
+
+def test_clip_global_norm_is_unchanged_when_nothing_overflows():
+    rng = np.random.default_rng(9)
+    grads = [rng.normal(size=(4, 3)) * 1e100, rng.normal(size=5) * 1e-3]
+    params = [Tensor(np.zeros_like(g), requires_grad=True) for g in grads]
+    for p, g in zip(params, grads):
+        p.grad = g.copy()
+    norm = clip_global_norm(params, 1.0)
+    total = 0.0
+    for g in grads:
+        total += float((g * g).sum())
+    assert norm == float(np.sqrt(total))
+    for p, g in zip(params, grads):
+        np.testing.assert_array_equal(p.grad, g * (1.0 / norm))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_clip_global_norm_leaves_non_finite_gradients_alone(bad):
+    a = Tensor(np.zeros(3), requires_grad=True)
+    a.grad = np.array([bad, 1e200, 3.0])
+    norm = clip_global_norm([a], 5.0)
+    assert not math.isfinite(norm)
+    np.testing.assert_array_equal(a.grad, [bad, 1e200, 3.0])
 
 
 # ---------------------------------------------------------------- training
@@ -268,6 +355,18 @@ def test_train_logs_clipping_once_per_epoch(caplog):
         assert message.startswith(f"epoch {epoch}: 3 of 3 batches clipped, max norm ")
 
 
+def test_train_logs_epoch_seconds_and_symbol_rate(caplog):
+    cfg = small_config()
+    system = CommSystem(cfg)
+    with caplog.at_level(logging.INFO, logger="vaecomm.training"):
+        logbook = train(system, tiny_dataset(cfg), epochs=2, batch_size=32)
+    messages = [r.getMessage() for r in caplog.records if r.name == "vaecomm.training"]
+    symbols = 87 * cfg.block_length  # 96 rows less 9 held out for validation
+    for record, message in zip(logbook.records, messages, strict=True):
+        assert message.endswith(f", {record.wall_time:.2f} s, "
+                                f"{symbols / record.wall_time:.0f} symbols/s")
+
+
 def test_train_leaves_system_in_eval_mode():
     cfg = small_config()
     system = CommSystem(cfg)
@@ -281,6 +380,23 @@ def test_train_diverged_loss_names_a_layer():
     system.tx_conv1.weight.data[:] = np.nan
     with pytest.raises(TrainingDivergedError, match="tx_conv1"):
         train(system, tiny_dataset(cfg), epochs=1, batch_size=32)
+
+
+def test_train_raises_on_a_non_finite_gradient_before_the_update(monkeypatch):
+    cfg = small_config()
+    system = CommSystem(cfg)
+    before = [p.data.copy() for p in system.parameters()]
+    backward = Tensor.backward
+
+    def poisoned_backward(self):
+        backward(self)
+        system.rx_conv2.bias.grad[0] = np.nan
+
+    monkeypatch.setattr(Tensor, "backward", poisoned_backward)
+    with pytest.raises(TrainingDivergedError, match=r"gradient norm \(nan\) at epoch 1, batch 0"):
+        train(system, tiny_dataset(cfg), epochs=1, batch_size=32)
+    for p, b in zip(system.parameters(), before):
+        np.testing.assert_array_equal(p.data, b)
 
 
 def test_divergence_probe_changes_no_state(monkeypatch):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vaecomm import DegenerateSignalError, DomainError, ShapeMismatchError, Tensor, finite_difference_check
 from vaecomm.layers import (
@@ -86,6 +88,17 @@ def test_conv_gradients_match_finite_differences():
     assert report.passed, ("bias", report.max_rel_err)
 
 
+def test_conv_returns_no_input_gradient_for_a_constant_input():
+    rng = np.random.default_rng(12)
+    conv = Conv1D(3, 4, rng=rng)
+    g = rng.normal(size=(2, 5, 4))
+    gx, gw, gb = conv(Tensor(rng.normal(size=(2, 5, 3))))._grad_fn(g)
+    assert gx is None
+    assert gw.shape == (4, 3, 1) and gb.shape == (4,)
+    gx, _, _ = conv(Tensor(rng.normal(size=(2, 5, 3)), requires_grad=True))._grad_fn(g)
+    assert gx.shape == (2, 5, 3)
+
+
 # -- BatchNorm1D ---------------------------------------------------------------
 
 
@@ -163,6 +176,60 @@ def test_batchnorm_gradients_match_finite_differences(training):
 
     report = finite_difference_check(f_shift, Tensor(bn.shift.data.copy()))
     assert report.passed, ("shift", report.max_rel_err)
+
+
+def _batchnorm_composed(x, gamma, shift, running_mean, running_var, g, *,
+                        training, momentum, epsilon):
+    """The textbook formulas BatchNorm1D replaced: its bit-for-bit oracle.
+
+    Returns (out, running_mean, running_var, gx, ggamma, gshift).
+    """
+    if training:
+        mean = x.mean(axis=(0, 1))
+        var = x.var(axis=(0, 1))
+        running_mean = momentum * running_mean + (1.0 - momentum) * mean
+        running_var = momentum * running_var + (1.0 - momentum) * var
+    else:
+        mean, var = running_mean, running_var
+    inv = 1.0 / np.sqrt(var + epsilon)
+    x_hat = (x - mean) * inv
+    out = gamma * x_hat + shift
+    n = x.shape[0] * x.shape[1]
+    ggamma = (g * x_hat).sum(axis=(0, 1))
+    gshift = g.sum(axis=(0, 1))
+    if training:
+        gx = (gamma * inv) * (g - g.mean(axis=(0, 1)) - x_hat * (g * x_hat).sum(axis=(0, 1)) / n)
+    else:
+        gx = g * (gamma * inv)
+    return out, running_mean, running_var, gx, ggamma, gshift
+
+
+@settings(max_examples=60, deadline=None)
+@given(batch=st.integers(2, 9), length=st.integers(1, 12), channels=st.integers(1, 40),
+       training=st.booleans(), seed=st.integers(0, 2**16))
+@example(batch=64, length=10, channels=256, training=True, seed=0)
+def test_batchnorm_matches_the_composed_formulas_bit_for_bit(batch, length, channels,
+                                                             training, seed):
+    rng = np.random.default_rng(seed)
+    bn = BatchNorm1D(channels)
+    bn.training = training
+    bn.gamma.data[:] = rng.normal(size=channels)
+    bn.shift.data[:] = rng.normal(size=channels)
+    bn.running_mean = rng.normal(size=channels)
+    bn.running_var = rng.uniform(0.1, 3.0, size=channels)
+    x = rng.normal(loc=rng.normal(size=channels) * 4.0, size=(batch, length, channels)) * 2.0
+    g = rng.normal(size=x.shape)
+    want = _batchnorm_composed(x, bn.gamma.data, bn.shift.data, bn.running_mean,
+                               bn.running_var, g, training=training,
+                               momentum=bn.momentum, epsilon=bn.epsilon)
+
+    xt = Tensor(x, requires_grad=True)
+    out = bn(xt)
+    (out * Tensor(g)).sum().backward()
+    got = (out.data, bn.running_mean, bn.running_var, xt.grad, bn.gamma.grad, bn.shift.grad)
+    for name, a, b in zip(("out", "running_mean", "running_var", "gx", "ggamma", "gshift"),
+                          got, want):
+        assert np.array_equal(a, b), name
 
 
 # -- GaussianSampling ----------------------------------------------------------
@@ -352,3 +419,17 @@ def test_softmax_gradients_match_finite_differences():
     probe = _linear_probe(rng, (3, 5))
     report = finite_difference_check(lambda t: (softmax(t) * probe).sum(), Tensor(x))
     assert report.passed, report.max_rel_err
+
+
+def test_softmax_matches_the_out_of_place_formula_bit_for_bit():
+    rng = np.random.default_rng(19)
+    for d in (rng.normal(size=(4, 6, 9)) * 30.0, np.array([[1e4, -1e4, 0.0], [0.0, 0.0, 0.0]])):
+        g = rng.normal(size=d.shape)
+        x = Tensor(d, requires_grad=True)
+        out = softmax(x)
+        (out * Tensor(g)).sum().backward()
+        e = np.exp(d - d.max(axis=-1, keepdims=True))
+        want = e / e.sum(axis=-1, keepdims=True)
+        want_grad = want * (g - (g * want).sum(axis=-1, keepdims=True))
+        assert np.array_equal(out.data, want)
+        assert np.array_equal(x.grad, want_grad)

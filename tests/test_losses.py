@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vaecomm import DomainError, ShapeMismatchError, Tensor, finite_difference_check
 from vaecomm.losses import (
+    PRED_CLIP,
     LossBreakdown,
     beta_vae_loss,
     binary_cross_entropy,
@@ -127,6 +130,51 @@ def test_bce_gradients_match_finite_differences():
     target[np.arange(3), rng.integers(0, 5, size=3)] = 1.0
     report = finite_difference_check(lambda t: binary_cross_entropy(t, Tensor(target)), pred)
     assert report.passed, report.max_rel_err
+
+
+def _bce_composed(pred: Tensor, target: Tensor) -> Tensor:
+    """The Tensor-op graph binary_cross_entropy replaced: its bit-for-bit oracle."""
+    p = pred.clip(PRED_CLIP, 1.0 - PRED_CLIP)
+    term = target * p.log() + (1.0 - target) * (1.0 - p).log()
+    return -(term.sum(axis=-1).mean())
+
+
+# the clip bounds, each side of them, the ends of [0, 1], outside it, and NaN
+_BCE_EDGES = np.array([
+    0.0, 1.0, PRED_CLIP, 1.0 - PRED_CLIP,
+    np.nextafter(PRED_CLIP, 1.0), np.nextafter(1.0 - PRED_CLIP, 0.0),
+    np.nextafter(PRED_CLIP, 0.0), np.nextafter(1.0 - PRED_CLIP, 1.0),
+    -0.5, 1.5, np.nan,
+])
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.lists(st.integers(1, 9), min_size=1, max_size=3).map(tuple),
+       upstream=st.sampled_from([1.0, -2.5, 1e-3, 3e5]), seed=st.integers(0, 2**16))
+def test_bce_matches_the_composed_graph_bit_for_bit(shape, upstream, seed):
+    rng = np.random.default_rng(seed)
+    pred = rng.uniform(0.0, 1.0, size=shape)
+    edge = rng.random(shape) < 0.5
+    pred[edge] = rng.choice(_BCE_EDGES, size=int(edge.sum()))
+    target = Tensor((rng.random(shape) < 0.3).astype(float))
+
+    values, grads = [], []
+    for loss_fn in (binary_cross_entropy, _bce_composed):
+        x = Tensor(pred, requires_grad=True)
+        loss = loss_fn(x, target)
+        (loss * upstream).backward()
+        values.append(loss.data)
+        grads.append(x.grad)
+    assert np.array_equal(values[0], values[1], equal_nan=True)
+    assert np.array_equal(grads[0], grads[1], equal_nan=True)
+
+
+def test_bce_gradient_is_for_pred_only():
+    pred = Tensor(np.array([[0.2, 0.8]]), requires_grad=True)
+    target = Tensor(np.array([[0.0, 1.0]]), requires_grad=True)
+    binary_cross_entropy(pred, target).backward()
+    assert pred.grad is not None
+    assert target.grad is None
 
 
 # -- combined loss ----------------------------------------------------------------

@@ -125,6 +125,18 @@ def test_gradient_flows_through_scalar_broadcast():
     np.testing.assert_array_equal(s.grad, [6.0])
 
 
+def test_mul_returns_no_gradient_for_a_constant_operand():
+    w = Tensor([2.0, -1.0], requires_grad=True)
+    c = Tensor([3.0, 5.0])
+    g = np.array([1.0, 4.0])
+    gw, gc = (w * c)._grad_fn(g)
+    np.testing.assert_array_equal(gw, [3.0, 20.0])
+    assert gc is None
+    gc, gw = (c * w)._grad_fn(g)
+    assert gc is None
+    np.testing.assert_array_equal(gw, [3.0, 20.0])
+
+
 def test_no_grad_builds_no_graph():
     w = Tensor([2.0], requires_grad=True)
     with no_grad():
