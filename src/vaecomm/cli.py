@@ -317,7 +317,7 @@ def cmd_baseline(cfg: RunConfig, explicit: frozenset) -> int:
         points.append(BlerPoint(
             ebno_db=ebno, bler=result.bler, ser=result.ser,
             ci_low=result.ci_low, ci_high=result.ci_high,
-            blocks=result.blocks, seed=cfg.seed, system_label=label,
+            blocks=result.blocks, block_length=cfg.L, seed=cfg.seed, system_label=label,
             analytic_ber=(analytic_ber(constellation, ebno)
                           if cfg.channel == "awgn" else None),
         ))

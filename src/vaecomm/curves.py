@@ -11,7 +11,8 @@ from .errors import DomainError
 
 Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 
-CSV_COLUMNS = ("ebno_db", "bler", "ser", "ci_low", "ci_high", "blocks", "seed", "system_label")
+CSV_COLUMNS = ("ebno_db", "bler", "ser", "ci_low", "ci_high", "blocks", "block_length", "seed",
+               "system_label")
 
 
 def wilson_interval(successes: int, trials: int, z: float = Z_95) -> tuple[float, float]:
@@ -37,6 +38,7 @@ class BlerPoint:
     ci_low: float   # 95% interval on the block error rate
     ci_high: float
     blocks: int
+    block_length: int  # symbols per block: the L the bler is for
     seed: int
     system_label: str
     analytic_ber: float | None = None

@@ -11,8 +11,9 @@ block length.
 ``transmit``/``receive`` run the whole chain and are the reference path:
 training and ``trace`` use them. Evaluation runs prefixes of the same tuples
 instead: ``codebook`` precomputes each message's pre-normalization latent
-once, ``encode`` gathers from it and power-normalizes, and ``logits`` stops
-the receiver before the softmax.
+once, ``encode`` gathers from it and power-normalizes, and ``decide`` runs
+the receiver up to the softmax on blocks of ``_DECIDE_ROWS`` positions and
+keeps only each position's argmax, so no full-chunk activation is allocated.
 """
 
 from __future__ import annotations
@@ -150,6 +151,12 @@ STAGES = TRANSMITTER + RECEIVER
 _ENCODER = TRANSMITTER[:-1]  # one-hot -> pre-normalization latent
 _DECODER = RECEIVER[:-1]     # channel output -> logits
 
+# Positions per receiver pass in ``decide``: the widest activation is then
+# 512 x hidden_filters floats (1 MiB at 256 filters) for any chunk size.
+# Blocks this tall give logits bit-equal to one pass over the whole chunk at
+# k = 2, 4 and 8; much shorter blocks changed them in the last bits.
+_DECIDE_ROWS = 512
+
 # Parameter order: every conv in chain order, then every batch norm. The
 # checkpoint's layer list and clip_global_norm's summation follow it.
 _PARAMETER_FIELDS = ((Conv1D, ("weight", "bias")), (BatchNorm1D, ("gamma", "shift")))
@@ -282,10 +289,24 @@ class CommSystem:
         from ``codebook(...)`` and the power norm, equal to eval-mode transmit."""
         return self.power_norm(Tensor(codebook[symbols]))
 
-    def logits(self, y: Tensor) -> Tensor:
-        """Channel output (batch, L, latent_dim) to the receiver's pre-softmax
-        scores; their argmax is the decision."""
-        return self._run(_DECODER, {"y": y})["h"]
+    def decide(self, y: Tensor) -> np.ndarray:
+        """Channel output (batch, L, latent_dim) to the decided symbols, int64 (batch, L).
+
+        The argmax of the receiver's pre-softmax scores, computed on
+        consecutive blocks of ``_DECIDE_ROWS`` positions. In eval mode every
+        receiver stage maps each position on its own, so the blocks do not
+        change the decisions; they bound the memory of a pass.
+        """
+        if self.training:
+            raise ConfigError("decide requires eval mode; call eval_mode() first")
+        rows = y.data.reshape(1, -1, y.shape[-1])
+        decided = np.empty(rows.shape[1], dtype=np.int64)
+        with no_grad():
+            for start in range(0, rows.shape[1], _DECIDE_ROWS):
+                block = Tensor(rows[:, start:start + _DECIDE_ROWS])
+                scores = self._run(_DECODER, {"y": block})["h"].data
+                decided[start:start + scores.shape[1]] = scores[0].argmax(axis=1)
+        return decided.reshape(y.shape[:-1])
 
     def _check_onehot(self, onehot) -> Tensor:
         x = onehot if isinstance(onehot, Tensor) else Tensor(np.asarray(onehot, dtype=np.float64))

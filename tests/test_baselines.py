@@ -191,18 +191,18 @@ def test_wilson_interval_basics():
 
 def test_curve_csv_schema(tmp_path):
     curve = BlerCurve([
-        BlerPoint(5.0, 0.5, 0.25, 0.4, 0.6, 100, 42, "test_system"),
+        BlerPoint(5.0, 0.5, 0.25, 0.4, 0.6, 100, 10, 42, "test_system"),
     ])
     path = tmp_path / "curve.csv"
     curve.to_csv(str(path))
     lines = path.read_text().splitlines()
-    assert lines[0] == "ebno_db,bler,ser,ci_low,ci_high,blocks,seed,system_label"
-    assert lines[1] == "5.0,0.5,0.25,0.4,0.6,100,42,test_system"
+    assert lines[0] == "ebno_db,bler,ser,ci_low,ci_high,blocks,block_length,seed,system_label"
+    assert lines[1] == "5.0,0.5,0.25,0.4,0.6,100,10,42,test_system"
 
 
 def test_curve_csv_with_analytic_column(tmp_path):
     curve = BlerCurve([
-        BlerPoint(5.0, 0.5, 0.25, 0.4, 0.6, 100, 42, "qpsk_awgn", analytic_ber=0.125),
+        BlerPoint(5.0, 0.5, 0.25, 0.4, 0.6, 100, 10, 42, "qpsk_awgn", analytic_ber=0.125),
     ])
     path = tmp_path / "curve.csv"
     curve.to_csv(str(path))
@@ -214,10 +214,11 @@ def test_curve_csv_with_analytic_column(tmp_path):
 def test_curve_json_roundtrip(tmp_path):
     import json
 
-    curve = BlerCurve([BlerPoint(5.0, 0.5, 0.25, 0.4, 0.6, 100, 42, "sys")])
+    curve = BlerCurve([BlerPoint(5.0, 0.5, 0.25, 0.4, 0.6, 100, 10, 42, "sys")])
     path = tmp_path / "curve.json"
     curve.to_json(str(path))
     rows = json.loads(path.read_text())
     assert rows[0]["ebno_db"] == 5.0
+    assert rows[0]["block_length"] == 10
     assert rows[0]["system_label"] == "sys"
     assert "analytic_ber" not in rows[0]

@@ -216,7 +216,7 @@ def test_sweep_row_count_and_determinism(tmp_path, capsys):
         assert code == 0
     capsys.readouterr()
     lines = curve_a.read_text().splitlines()
-    assert lines[0] == "ebno_db,bler,ser,ci_low,ci_high,blocks,seed,system_label"
+    assert lines[0] == "ebno_db,bler,ser,ci_low,ci_high,blocks,block_length,seed,system_label"
     assert len(lines) == 12
     ebnos = [float(line.split(",")[0]) for line in lines[1:]]
     assert ebnos == sorted(ebnos) and len(set(ebnos)) == 11
@@ -233,6 +233,8 @@ def test_sweep_defaults_to_the_checkpoint_block_length(tmp_path, capsys):
         assert code == 0
     capsys.readouterr()
     assert curves["stored"].read_bytes() == curves["explicit"].read_bytes()
+    rows = curves["stored"].read_text().splitlines()
+    assert all(row.split(",")[6] == "10" for row in rows[1:])  # the block_length column
 
 
 def test_sweep_requires_checkpoint(capsys):
@@ -282,6 +284,7 @@ def test_baseline_curve_with_analytic_column(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0].endswith(",analytic_ber")
     assert len(lines) == 4
+    assert all(line.split(",")[6] == "4" for line in lines[1:])  # --L is the block_length
 
 
 def test_baseline_rayleigh_has_no_analytic_column(tmp_path, capsys):
@@ -293,7 +296,7 @@ def test_baseline_rayleigh_has_no_analytic_column(tmp_path, capsys):
     assert code == 0
     header = out.read_text().splitlines()[0]
     assert "analytic_ber" not in header
-    assert header == "ebno_db,bler,ser,ci_low,ci_high,blocks,seed,system_label"
+    assert header == "ebno_db,bler,ser,ci_low,ci_high,blocks,block_length,seed,system_label"
 
 
 def test_baseline_deterministic(tmp_path, capsys):

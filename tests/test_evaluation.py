@@ -1,16 +1,18 @@
-"""Error-rate measurement: the codebook path against the reference path,
-counting, sharding determinism, worker limits."""
+"""Error-rate measurement: the codebook and row-block path against the
+reference path, counting, sharding determinism, worker limits, progress."""
 
 import json
+import logging
 import math
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vaecomm import evaluation
+from vaecomm import evaluation, model
 from vaecomm.channels import ChannelModel
 from vaecomm.data import generate_dataset, one_hot
 from vaecomm.errors import ConfigError, DomainError
@@ -32,7 +34,8 @@ from vaecomm.training import train
 
 class EchoSystem:
     """Duck-typed stand-in whose codebook is the identity and whose receiver
-    returns its input, so the logits are the transmitted one-hot.
+    decides the largest entry of its input, so the decisions are the
+    transmitted symbols.
 
     With a noiseless channel every decision matches its label, giving exact
     zero error counts for counting tests.
@@ -49,17 +52,29 @@ class EchoSystem:
     def encode(self, codebook, symbols):
         return Tensor(codebook[symbols])
 
-    def logits(self, y):
-        return y
+    def decide(self, y):
+        return np.argmax(y.data, axis=2)
 
 
 class CorruptingSystem(EchoSystem):
     """EchoSystem that flips the first symbol of the first block it sees."""
 
-    def logits(self, y):
-        scores = y.data.copy()
-        scores[0, 0] = np.roll(scores[0, 0], 1)
-        return Tensor(scores)
+    def decide(self, y):
+        decided = super().decide(y)
+        decided[0, 0] = (decided[0, 0] + 1) % self.config.M
+        return decided
+
+
+class ThreadRecordingSystem(EchoSystem):
+    """EchoSystem that records the thread every chunk is decided on."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.threads = set()
+
+    def decide(self, y):
+        self.threads.add(threading.get_ident())
+        return super().decide(y)
 
 
 def small_system(seed=11, channel_kind="awgn"):
@@ -102,8 +117,8 @@ def test_codebook_path_matches_transmit_and_receive(k, n, m, kind, length, rows,
     np.testing.assert_allclose(signal.data, reference.data, rtol=0.0, atol=1e-12)
     _, channel = chunk_streams(cfg, ebno_db, length, n_blocks, seed)
     with no_grad():
-        fast = np.argmax(system.logits(channel.apply(signal)).data, axis=2)
-    np.testing.assert_array_equal(fast, decided)
+        received = channel.apply(signal)
+    np.testing.assert_array_equal(system.decide(received), decided)
 
     wrong = decided != symbols
     assert evaluation._count_chunk(system, codebook, ebno_db, length, n_blocks, seed, 0, 0) == (
@@ -130,6 +145,47 @@ def test_codebook_rejects_train_mode_and_empty_slices():
     system.train_mode()
     with pytest.raises(ConfigError, match="eval"):
         system.codebook(4)
+
+
+@pytest.mark.parametrize("k, n", [(4, 2), (8, 4)])
+def test_decide_over_several_row_blocks_matches_the_reference(k, n):
+    n_blocks, length = 13, 100  # 1,300 positions: two full row blocks and a remainder
+    assert n_blocks * length // model._DECIDE_ROWS == 2
+    assert n_blocks * length % model._DECIDE_ROWS
+    cfg = SystemConfig(k=k, n=n, block_length=length, seed=5)
+    system = CommSystem(cfg).eval_mode()
+    symbols, channel = chunk_streams(cfg, 0.0, length, n_blocks, 5)
+    with no_grad():
+        signal, _, _ = system.transmit(one_hot(symbols, cfg.M))
+        received = channel.apply(signal)
+        reference = np.argmax(system.receive(received).data, axis=2)
+    decided = system.decide(received)
+    assert decided.dtype == np.int64 and decided.shape == (n_blocks, length)
+    np.testing.assert_array_equal(decided, reference)
+    assert len(np.unique(decided)) > 4  # the untrained receiver still tells symbols apart
+
+
+def test_decide_rejects_train_mode():
+    system = small_system()
+    received = Tensor(np.zeros((2, 4, system.config.latent_dim)))
+    system.train_mode()
+    with pytest.raises(ConfigError, match="eval"):
+        system.decide(received)
+
+
+@pytest.mark.parametrize("k, n", [(4, 2), (8, 4)])
+def test_chunk_memory_does_not_grow_with_the_chunk(k, n):
+    # one L=100 chunk of 256 blocks is 25,600 positions: a whole-chunk
+    # activation at 256 filters would be 52 MB on its own
+    system = CommSystem(SystemConfig(k=k, n=n, hidden_filters=256)).eval_mode()
+    codebook = system.codebook(256)
+    tracemalloc.start()
+    try:
+        evaluation._count_chunk(system, codebook, 0.0, 100, 256, 1, 0, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 # ------------------------------------------------------------- counting
@@ -170,6 +226,7 @@ def test_curve_metadata_and_labels():
     assert [p.ebno_db for p in curve.points] == [2.0, 6.0]
     assert all(p.seed == 17 for p in curve.points)
     assert all(p.system_label == "vae_k2n1m2_awgn" for p in curve.points)
+    assert all(p.block_length == 4 for p in curve.points)
     named = evaluate_bler(system, [2.0], blocks_per_point=8, seed=17, label="mine")
     assert named.points[0].system_label == "mine"
     assert default_label(system) == "vae_k2n1m2_awgn"
@@ -179,6 +236,7 @@ def test_block_length_override():
     system = small_system()
     curve = evaluate_bler(system, [4.0], blocks_per_point=16, seed=5,
                           block_length=9)
+    assert curve.points[0].block_length == 9
     # SER denominator reflects the override: counts divide evenly by 16*9
     assert (curve.points[0].ser * 16 * 9) == pytest.approx(
         round(curve.points[0].ser * 16 * 9))
@@ -195,6 +253,42 @@ def test_same_seed_same_curve_any_worker_count():
     c = evaluate_bler(system, [3.0, 6.0], workers=2, **kwargs)
     for pa, pb, pc in zip(a.points, b.points, c.points):
         assert pa == pb == pc
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**16), chunk_blocks=st.integers(1, 300),
+       length=st.sampled_from([1, 7, 100]), workers=st.sampled_from([1, 2, 3]))
+@example(seed=7, chunk_blocks=300, length=100, workers=2)  # chunks of 30,000 positions
+@example(seed=7, chunk_blocks=1, length=7, workers=3)      # 450 one-block chunks
+def test_counts_do_not_depend_on_the_worker_count(seed, chunk_blocks, length, workers):
+    system = small_system()
+    kwargs = dict(seed=seed, chunk_blocks=chunk_blocks)
+    blocks = 450  # at least two chunks for every chunk_blocks drawn
+    curve = evaluate_bler(system, [0.0, 4.0], blocks, block_length=length, **kwargs)
+    records = block_length_transfer(system, [length], 2.0, blocks, **kwargs)
+    assert evaluate_bler(system, [0.0, 4.0], blocks, block_length=length, workers=workers,
+                         **kwargs) == curve
+    assert block_length_transfer(system, [length], 2.0, blocks, workers=workers,
+                                 **kwargs) == records
+
+
+def test_default_evaluation_runs_on_the_calling_thread():
+    system = ThreadRecordingSystem()
+    evaluate_bler(system, [math.inf], blocks_per_point=40, seed=1, chunk_blocks=8)
+    block_length_transfer(system, [2, 3], math.inf, blocks_per_length=40, seed=1,
+                          chunk_blocks=8)
+    assert system.threads == {threading.get_ident()}
+
+
+def test_more_workers_run_chunks_in_a_pool(monkeypatch):
+    by_argument = ThreadRecordingSystem()
+    evaluate_bler(by_argument, [math.inf], blocks_per_point=40, seed=1, chunk_blocks=8,
+                  workers=2)
+    monkeypatch.setenv(THREADS_ENV_VAR, "2")
+    by_env = ThreadRecordingSystem()
+    block_length_transfer(by_env, [2], math.inf, blocks_per_length=40, seed=1, chunk_blocks=8)
+    for system in (by_argument, by_env):
+        assert system.threads and threading.get_ident() not in system.threads
 
 
 def test_different_seeds_usually_differ():
@@ -259,7 +353,7 @@ def test_worker_count_resolution(monkeypatch):
     with pytest.raises(ConfigError, match=THREADS_ENV_VAR):
         resolve_worker_count()
     monkeypatch.delenv(THREADS_ENV_VAR)
-    assert resolve_worker_count() >= 1
+    assert resolve_worker_count() == 1
 
 
 def test_env_var_caps_evaluation(monkeypatch):
@@ -338,6 +432,24 @@ def test_transfer_csv_and_json_output(tmp_path):
     loaded = json.loads(json_path.read_text())
     assert loaded[0]["block_length"] == 2
     assert loaded[1]["bler"] == 0.0
+
+
+# ------------------------------------------------------------ progress
+
+
+def test_sweep_and_transfer_log_one_line_per_point(caplog):
+    system = small_system()
+    with caplog.at_level(logging.INFO, logger="vaecomm.evaluation"):
+        curve = evaluate_bler(system, [0.0, 4.0, 8.0], blocks_per_point=32, seed=2)
+        records = block_length_transfer(system, [3, 9], 4.0, blocks_per_length=16, seed=2)
+    lines = [r.getMessage() for r in caplog.records if r.name == "vaecomm.evaluation"]
+    expected = [f"point {i + 1}/3: Eb/N0 {p.ebno_db} dB, 32 blocks, "
+                f"{round(p.bler * 32)} block errors, " for i, p in enumerate(curve.points)]
+    expected += [f"length {i + 1}/2: L={r.block_length}, 16 blocks, "
+                 f"{round(r.bler * 16)} block errors, " for i, r in enumerate(records)]
+    assert len(lines) == len(expected)
+    for line, start in zip(lines, expected):
+        assert line.startswith(start) and line.endswith(" symbols/s")
 
 
 # ----------------------------------------------- trained system sanity
