@@ -27,9 +27,9 @@ from .gradcheck import ComponentReport, run_all, run_component
 from .losses import (
     LossBreakdown,
     beta_vae_loss,
-    binary_cross_entropy,
     kl_standard_normal,
     monte_carlo_expectation,
+    softmax_binary_cross_entropy,
 )
 from .model import CommSystem, EndToEndResult, SystemConfig
 from .optim import Adam
@@ -68,7 +68,6 @@ __all__ = [
     "analytic_ser",
     "baseline_bler",
     "beta_vae_loss",
-    "binary_cross_entropy",
     "bler_from_ser",
     "block_length_transfer",
     "derive_seed",
@@ -84,6 +83,7 @@ __all__ = [
     "run_all",
     "run_component",
     "save_checkpoint",
+    "softmax_binary_cross_entropy",
     "train",
     "wilson_interval",
     "__version__",

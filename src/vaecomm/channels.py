@@ -3,7 +3,8 @@
 Noise variance per real dimension follows from Eb/N0 and the rate R (bits
 per channel use): sigma^2 = 1 / (2 * R * 10^(ebno_db / 10)). Both channels
 pass gradients through to the input; fading coefficients and noise are
-treated as constants of the draw.
+treated as constants of the draw. Noise and fading are drawn in float64, so
+the streams do not depend on the signal's dtype, and rounded to it.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ class ChannelModel:
 
     def apply_awgn(self, x: Tensor) -> Tensor:
         noise = self._rng.standard_normal(x.shape) * self.noise_std()
-        return x + Tensor(noise)  # gradient passes straight through
+        return x + Tensor(noise.astype(x.dtype, copy=False))  # gradient passes straight through
 
     def apply_rayleigh(self, x: Tensor, h: np.ndarray | None = None) -> Tensor:
         """Flat Rayleigh block fading on consecutive (I, Q) pairs.
@@ -73,8 +74,7 @@ class ChannelModel:
         if h is None:
             hshape = (batch, length, 1) if self.per_symbol_fading else (batch, 1, 1)
             h = self._rng.standard_normal(hshape + (2,)) * np.sqrt(0.5)
-        else:
-            h = np.asarray(h, dtype=np.float64)
+        h = np.asarray(h).astype(x.dtype, copy=False)
         # trailing singleton keeps h broadcastable over the dim/2 pair axis
         h_re, h_im = h[..., 0], h[..., 1]
 
@@ -83,7 +83,7 @@ class ChannelModel:
         out = np.empty_like(x.data)
         out[..., 0::2] = h_re * xr - h_im * xi
         out[..., 1::2] = h_im * xr + h_re * xi
-        out += self._rng.standard_normal(x.shape) * self.noise_std()
+        out += (self._rng.standard_normal(x.shape) * self.noise_std()).astype(x.dtype, copy=False)
 
         def grad(g):
             gr = g[..., 0::2]

@@ -2,6 +2,9 @@
 
 Floats are serialized through Python's shortest round-trip repr, so a
 write / read / write cycle is byte-identical and parameters survive exactly.
+Values load as float32, the system's dtype; the float32 values a system
+writes convert back exactly, and files that hold float64 values (written
+before the system switched to float32) load rounded to the nearest float32.
 
 Version 2 stores the block length the system was trained at. Version 1
 files, which did not, still load, at the block length they always loaded
@@ -19,6 +22,7 @@ import numpy as np
 from .errors import CheckpointError, ConfigError
 from .layers import BatchNorm1D
 from .model import CommSystem, SystemConfig
+from .tensor import SYSTEM_DTYPE
 
 FORMAT_VERSION = 2
 V1_BLOCK_LENGTH = 100
@@ -97,7 +101,7 @@ def load_checkpoint(path: str) -> CommSystem:
             raise CheckpointError(
                 f"field 'layers[{name}].shape': expected {target.shape}, got {shape}"
             )
-        values = np.asarray(entry.get("values", []), dtype=np.float64)
+        values = np.asarray(entry.get("values", []), dtype=SYSTEM_DTYPE)
         if values.size != target.size:
             raise CheckpointError(
                 f"field 'layers[{name}].values': expected {target.size} values, got {values.size}"
@@ -114,8 +118,8 @@ def load_checkpoint(path: str) -> CommSystem:
         entry = stats.get(name)
         if not isinstance(entry, dict) or "mean" not in entry or "var" not in entry:
             raise CheckpointError(f"field 'batchnorm_running_stats.{name}': needs 'mean' and 'var'")
-        mean = np.asarray(entry["mean"], dtype=np.float64)
-        var = np.asarray(entry["var"], dtype=np.float64)
+        mean = np.asarray(entry["mean"], dtype=SYSTEM_DTYPE)
+        var = np.asarray(entry["var"], dtype=SYSTEM_DTYPE)
         if mean.shape != layer.running_mean.shape or var.shape != layer.running_var.shape:
             raise CheckpointError(f"field 'batchnorm_running_stats.{name}': wrong length")
         layer.running_mean = mean

@@ -7,6 +7,10 @@ Every command is deterministic given its flags and seed: rerunning writes
 byte-identical files.
 
 Exit codes: 0 success, 1 check failure, 2 usage error, 3 runtime or data error.
+
+Run as a program (the ``vaecomm`` script or ``python -m vaecomm.cli``), the
+package's INFO lines (per-epoch training health, per-point sweep and
+transfer progress) go to stderr. ``main`` itself installs no handler.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import logging
 import math
 import sys
 from dataclasses import dataclass
@@ -392,4 +397,13 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
+    logger = logging.getLogger("vaecomm")
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
     sys.exit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    entry()

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .tensor import Tensor
+from .tensor import SYSTEM_DTYPE, Tensor
 
 
 @dataclass(frozen=True)
@@ -36,12 +36,12 @@ def generate_dataset(k: int, L: int, num_messages: int = 12800, seed: int = 0, *
 
 
 def one_hot(symbols: np.ndarray, M: int) -> Tensor:
-    """Integer symbols (batch, L) to float one-hot rows (batch, L, M)."""
+    """Integer symbols (batch, L) to float32 one-hot rows (batch, L, M)."""
     symbols = np.asarray(symbols)
     if symbols.ndim != 2:
         raise DomainError(f"expected (batch, L) symbols, got shape {symbols.shape}")
     if symbols.size and (symbols.min() < 0 or symbols.max() >= M):
         raise DomainError(f"symbols outside [0, {M})")
-    out = np.zeros(symbols.shape + (M,), dtype=np.float64)
+    out = np.zeros(symbols.shape + (M,), dtype=SYSTEM_DTYPE)
     np.put_along_axis(out, symbols[..., None], 1.0, axis=2)
     return Tensor(out)

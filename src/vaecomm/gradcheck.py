@@ -4,6 +4,8 @@ Each registry entry builds a fresh, randomly configured instance of one layer
 or loss and a scalar-valued closure over a single input tensor. run_all drives
 many seeded trials per component and reports the worst relative error seen, so
 a broken backward anywhere in the stack surfaces with its component named.
+Every builder works in float64, parameters included: the trained system's
+float32 would drown the central differences in rounding error.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .layers import (
     elu,
     softmax,
 )
-from .losses import beta_vae_loss, binary_cross_entropy, kl_standard_normal
+from .losses import beta_vae_loss, kl_standard_normal, softmax_binary_cross_entropy
 from .seeding import derive_seed
 from .tensor import Tensor, finite_difference_check
 
@@ -180,19 +182,20 @@ def _bce(rng):
     target = np.zeros((2, 3, 4))
     target[..., 0] = 1.0
     tgt = Tensor(target)
-    # probabilities kept strictly inside (0, 1), away from the clip floor
-    x0 = rng.uniform(0.05, 0.95, size=(2, 3, 4))
-    return lambda pred: binary_cross_entropy(pred, tgt), x0
+    # logits within +-3: every softmax probability is above 3e-4 and below
+    # 1 - 3e-4, well inside the clip to [1e-12, 1 - 1e-12]
+    x0 = rng.uniform(-3.0, 3.0, size=(2, 3, 4))
+    return lambda logits: softmax_binary_cross_entropy(logits, tgt), x0
 
 
 def _beta_vae(rng):
     target = np.zeros((2, 3, 4))
     target[..., 1] = 1.0
     tgt = Tensor(target)
-    pred = Tensor(rng.uniform(0.05, 0.95, size=(2, 3, 4)))
+    logits = Tensor(rng.uniform(-3.0, 3.0, size=(2, 3, 4)))
     logvar = Tensor(rng.normal(size=(2, 3, 4)) * 0.5)
     def f(mu):
-        total, _ = beta_vae_loss(pred, tgt, mu, logvar, beta=1e-2)
+        total, _ = beta_vae_loss(logits, tgt, mu, logvar, beta=1e-2)
         return total
     # |mu| kept away from 0: there the gradient, beta * mu / 6, falls below the
     # rounding error of differencing the constant BCE term, about 2e-11
@@ -217,7 +220,7 @@ REGISTRY = (
     ("softmax", _softmax),
     ("kl_mu", _kl_mu),
     ("kl_logvar", _kl_logvar),
-    ("binary_cross_entropy", _bce),
+    ("softmax_binary_cross_entropy", _bce),
     ("beta_vae_loss", _beta_vae),
 )
 

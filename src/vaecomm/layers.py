@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateSignalError, DomainError, ShapeMismatchError
-from .tensor import EXP_CLIP, Tensor, from_op
+from .tensor import SYSTEM_DTYPE, Tensor, exp_clip, from_op
 
 
 def glorot_uniform(rng: np.random.Generator, shape: tuple, fan_in: int, fan_out: int) -> np.ndarray:
@@ -24,7 +24,8 @@ class Conv1D:
 
     Weight layout is (out_channels, in_channels, 1), the layout checkpoints
     store; bias starts at zero and weights are Glorot-uniform from the
-    supplied generator.
+    supplied generator. Both are float32; the weights are drawn in float64
+    and rounded, so the generator's stream does not depend on the dtype.
     """
 
     def __init__(self, in_channels: int, out_channels: int, *,
@@ -33,11 +34,9 @@ class Conv1D:
         self.out_channels = out_channels
         self.name = name
         rng = rng or np.random.default_rng()
-        self.weight = Tensor(
-            glorot_uniform(rng, (out_channels, in_channels, 1), in_channels, out_channels),
-            requires_grad=True,
-        )
-        self.bias = Tensor(np.zeros(out_channels), requires_grad=True)
+        weight = glorot_uniform(rng, (out_channels, in_channels, 1), in_channels, out_channels)
+        self.weight = Tensor(weight.astype(SYSTEM_DTYPE), requires_grad=True)
+        self.bias = Tensor(np.zeros(out_channels, dtype=SYSTEM_DTYPE), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
         if x.ndim != 3:
@@ -85,10 +84,10 @@ class BatchNorm1D:
         self.epsilon = epsilon
         self.name = name
         self.training = True
-        self.gamma = Tensor(np.ones(channels), requires_grad=True)
-        self.shift = Tensor(np.zeros(channels), requires_grad=True)
-        self.running_mean = np.zeros(channels)
-        self.running_var = np.ones(channels)
+        self.gamma = Tensor(np.ones(channels, dtype=SYSTEM_DTYPE), requires_grad=True)
+        self.shift = Tensor(np.zeros(channels, dtype=SYSTEM_DTYPE), requires_grad=True)
+        self.running_mean = np.zeros(channels, dtype=SYSTEM_DTYPE)
+        self.running_var = np.ones(channels, dtype=SYSTEM_DTYPE)
 
     def __call__(self, x: Tensor) -> Tensor:
         if x.ndim != 3 or x.shape[2] != self.channels:
@@ -135,7 +134,8 @@ class GaussianSampling:
     """Reparameterized draw h = mu + exp(logvar / 2) * eps.
 
     Training samples eps from the layer's seeded generator (or takes an
-    injected eps for tests); evaluation returns mu unchanged.
+    injected eps for tests); evaluation returns mu unchanged. The draw is
+    float64, as the generator's stream defines it, rounded to mu's dtype.
     """
 
     def __init__(self, latent_dim: int, seed: int = 0):
@@ -156,7 +156,7 @@ class GaussianSampling:
         elif eps.shape != mu.shape:
             raise ShapeMismatchError(f"eps shape {eps.shape} does not match mu {mu.shape}")
         sigma = (logvar * 0.5).exp()
-        return mu + sigma * Tensor(eps)
+        return mu + sigma * Tensor(eps.astype(mu.dtype, copy=False))
 
 
 class PowerNormalization:
@@ -191,13 +191,13 @@ class PowerNormalization:
 
 
 def elu(x: Tensor) -> Tensor:
-    """exp(x) - 1 for x < 0, x otherwise; saturates to -1 for very negative x.
+    """exp(x) - 1 for x < 0, x otherwise; saturates to -1 below -exp_clip.
 
     ``neg`` is exactly 0 wherever x >= 0, so adding max(x, 0) selects the
     branch without a mask, and ``neg + 1`` is the slope on both sides.
     """
     d = x.data
-    neg = np.clip(d, -EXP_CLIP, 0.0)
+    neg = np.clip(d, -exp_clip(d.dtype), 0.0)
     np.exp(neg, out=neg)
     neg -= 1.0
     out = np.maximum(d, 0.0)

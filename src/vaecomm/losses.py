@@ -7,14 +7,17 @@ block positions).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, ShapeMismatchError
-from .tensor import LOG_FLOOR, Tensor, from_op
+from .tensor import Tensor, from_op
 
 PRED_CLIP = 1e-12
+_LOG_LO = math.log(PRED_CLIP)
+_LOG_HI = math.log1p(-PRED_CLIP)
 
 
 @dataclass(frozen=True)
@@ -37,63 +40,91 @@ def kl_standard_normal(mu: Tensor, logvar: Tensor) -> Tensor:
     return per.sum(axis=-1).mean() * -0.5
 
 
-def binary_cross_entropy(pred: Tensor, target: Tensor) -> Tensor:
-    """Multi-label BCE: -sum_m [t log p + (1-t) log(1-p)], averaged over
-    leading axes. Predictions are clipped to [1e-12, 1 - 1e-12] first.
+def softmax_binary_cross_entropy(logits: Tensor, target: Tensor) -> Tensor:
+    """Multi-label BCE of p = softmax(logits) over the last axis:
+    -sum_m [t log p + (1-t) log(1-p)], averaged over leading axes, with p
+    clipped to [1e-12, 1 - 1e-12] first.
 
-    One autodiff node with a gradient for ``pred`` only. Its value and
-    gradient equal those of the same formula composed from Tensor ops (clip,
-    floored log, products, sum, mean) bit for bit: each expression below is
-    one of that graph's forward or backward steps, at most with the operands
-    of a product or sum swapped, which leaves every bit unchanged.
+    One autodiff node with a gradient for ``logits`` only; the softmax is not
+    a node of its own. Both logs come from the logits: log p = z - lse(z),
+    and log(1 - p) is log1p(-p) for every entry but the row's largest (there
+    p <= 1/2) and log(sum of the others' e^z) - lse(z) at the largest, whose
+    others are summed directly, since S - e_max would cancel. The clip is
+    applied to the logs, [log 1e-12, log1p(-1e-12)], where float32 can hold
+    both ends (1 - 1e-12 rounds to 1 in float32). As for the clip of p, the
+    gradient with respect to p is zero wherever p lies outside the clip.
     """
-    if pred.shape != target.shape:
-        raise ShapeMismatchError(f"pred/target shapes differ: {pred.shape} vs {target.shape}")
+    if logits.shape != target.shape:
+        raise ShapeMismatchError(f"logits/target shapes differ: {logits.shape} vs {target.shape}")
     t = target.data
-    if not np.all((t == 0.0) | (t == 1.0)):
+    hit = t == 1.0
+    if not np.all(hit | (t == 0.0)):
         raise DomainError("target entries must be exactly 0 or 1")
-    p = pred.data
-    pc = np.clip(p, PRED_CLIP, 1.0 - PRED_CLIP)
-    # pc >= PRED_CLIP == LOG_FLOOR, so only log(1 - pc) can reach the floor:
-    # 1 - (1 - PRED_CLIP) rounds to just below it
-    safe_q = 1.0 - pc
-    above_floor = safe_q >= LOG_FLOOR
-    np.maximum(safe_q, LOG_FLOOR, out=safe_q)
-    # term = t * log(pc) + (1 - t) * log(safe_q), in as few buffers as possible
-    term = 1.0 - t
-    off = np.log(safe_q)
-    off *= term
-    np.log(pc, out=term)
-    term *= t
-    term += off
+    z = logits.data
+    top = z.argmax(axis=-1)[..., None]
+    lp = z - np.take_along_axis(z, top, axis=-1)  # 0 at the top entry
+    p = np.exp(lp)
+    np.put_along_axis(p, top, 0.0, axis=-1)
+    rest = p.sum(axis=-1, keepdims=True)  # the top entry's others: S = 1 + rest
+    log_s = np.log1p(rest)
+    lp -= log_s  # log p
+    p /= 1.0 + rest
+    # log(1 - p): log1p(-p) off the top entry, where p <= 1/2, and
+    # log(rest / S) at it; rest may underflow to 0, and the clip takes -inf
+    lq = np.log1p(-p)
+    with np.errstate(divide="ignore"):
+        np.put_along_axis(lq, top, np.log(rest) - log_s, axis=-1)
+    np.put_along_axis(p, top, 1.0 / (1.0 + rest), axis=-1)
+    q_top = rest / (1.0 + rest)  # 1 - p at the top entry
+    keep = lp >= _LOG_LO  # p inside the clip (false for NaN)
+    keep &= lp <= _LOG_HI
+    keep &= lq >= _LOG_LO
+    keep &= lq <= _LOG_HI
+    np.clip(lq, _LOG_LO, _LOG_HI, out=lq)
+    term = np.clip(lp, _LOG_LO, _LOG_HI)
+    np.copyto(term, lq, where=~hit)  # t log p + (1 - t) log(1 - p) for 0/1 targets
     sums = term.sum(axis=-1)
     n = sums.size
 
     def grad(g):
+        # dL/dz = a - p * sum(a), a = c * keep * (t - (1 - t) * p / (1 - p)).
+        # Outside the clip lp - lq <= -log(1e-12), so the exp stays finite.
         c = -g / n
-        g_off = 1.0 - t
-        g_off *= c
-        g_off /= safe_q
-        g_off *= above_floor
-        gp = c * t
-        gp /= pc
-        gp -= g_off
-        gp *= pc == p  # the clip's mask: true iff lo <= p <= hi (false for NaN)
-        return (gp,)
+        a = lp - lq
+        np.exp(a, out=a)
+        np.negative(a, out=a)
+        np.copyto(a, 1.0, where=hit)
+        a *= keep
+        a *= c
+        a_top = np.take_along_axis(a, top, axis=-1)
+        np.put_along_axis(a, top, 0.0, axis=-1)
+        others = a.sum(axis=-1, keepdims=True)
+        gz = p * (others + a_top)
+        np.subtract(a, gz, out=gz)
+        # at the top entry a * (1 - p) - p * others, where a * (1 - p) is
+        # c * keep * (t * (1 - p) - (1 - t) * p): a - p * sum(a) would cancel
+        # two terms of size |c| / (1 - p) there
+        p_top = np.take_along_axis(p, top, axis=-1)
+        gain = np.where(np.take_along_axis(hit, top, axis=-1), q_top, -p_top)
+        gain *= np.take_along_axis(keep, top, axis=-1)
+        gain *= c
+        gain -= p_top * others
+        np.put_along_axis(gz, top, gain, axis=-1)
+        return (gz,)
 
-    return from_op(-sums.mean(), (pred,), grad)
+    return from_op(-sums.mean(), (logits,), grad)
 
 
-def beta_vae_loss(pred: Tensor, target: Tensor, mu: Tensor, logvar: Tensor,
+def beta_vae_loss(logits: Tensor, target: Tensor, mu: Tensor, logvar: Tensor,
                   beta: float) -> tuple[Tensor, LossBreakdown]:
-    """Total loss to minimize: beta * KL + BCE.
+    """Total loss to minimize: beta * KL + BCE of softmax(logits).
 
     Returns the differentiable scalar plus a float breakdown of the terms.
     """
     if beta < 0.0:
         raise DomainError(f"beta must be non-negative, got {beta}")
     kl = kl_standard_normal(mu, logvar)
-    recon = binary_cross_entropy(pred, target)
+    recon = softmax_binary_cross_entropy(logits, target)
     total = kl * beta + recon
     return total, LossBreakdown(
         total=float(total),

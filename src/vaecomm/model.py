@@ -8,12 +8,19 @@ the checkpoint's batch-norm list all iterate them. Every convolution is
 position-wise (kernel size 1), so a trained system can be applied to any
 block length.
 
-``transmit``/``receive`` run the whole chain and are the reference path:
-training and ``trace`` use them. Evaluation runs prefixes of the same tuples
-instead: ``codebook`` precomputes each message's pre-normalization latent
-once, ``encode`` gathers from it and power-normalizes, and ``decide`` runs
-the receiver up to the softmax on blocks of ``_DECIDE_ROWS`` positions and
-keeps only each position's argmax, so no full-chunk activation is allocated.
+Everything the system holds and computes is float32: parameters, batch-norm
+running statistics, activations, gradients, the codebook and the decoder.
+Inputs of another dtype are cast where they enter (``_check_onehot``,
+``receive``, ``decide``).
+
+``transmit``/``receive`` run the whole chain and are the reference path
+that ``trace`` uses. Training runs the same stages up to the receiver's
+logits and hands those to the loss, which applies the softmax itself.
+Evaluation runs prefixes of the same tuples instead: ``codebook``
+precomputes each message's pre-normalization latent once, ``encode``
+gathers from it and power-normalizes, and ``decide`` runs the receiver up
+to the softmax on blocks of ``_DECIDE_ROWS`` positions and keeps only each
+position's argmax, so no full-chunk activation is allocated.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from .layers import (
 )
 from .losses import LossBreakdown, beta_vae_loss
 from .seeding import derive_seed
-from .tensor import Tensor, no_grad
+from .tensor import SYSTEM_DTYPE, Tensor, cast, no_grad
 
 VALID_LATENT_MULTIPLIERS = (2, 4)
 
@@ -152,9 +159,10 @@ _ENCODER = TRANSMITTER[:-1]  # one-hot -> pre-normalization latent
 _DECODER = RECEIVER[:-1]     # channel output -> logits
 
 # Positions per receiver pass in ``decide``: the widest activation is then
-# 512 x hidden_filters floats (1 MiB at 256 filters) for any chunk size.
-# Blocks this tall give logits bit-equal to one pass over the whole chunk at
-# k = 2, 4 and 8; much shorter blocks changed them in the last bits.
+# 512 x hidden_filters floats (512 KiB at 256 filters) for any chunk size.
+# In float32, blocks this tall give logits bit-equal to one pass over the
+# whole chunk at k = 2, 4 and 8 (25,600 positions); blocks of 256 rows at
+# k = 2, and of 64 at k = 4, changed them in the last bits.
 _DECIDE_ROWS = 512
 
 # Parameter order: every conv in chain order, then every batch norm. The
@@ -164,7 +172,6 @@ _PARAMETER_FIELDS = ((Conv1D, ("weight", "bias")), (BatchNorm1D, ("gamma", "shif
 
 @dataclass
 class EndToEndResult:
-    probs: Tensor
     mu: Tensor
     logvar: Tensor
     signal: Tensor
@@ -227,12 +234,12 @@ class CommSystem:
                 record.append((name, env[output].data))
         return env
 
-    def _forward(self, x: Tensor, channel: ChannelModel, record=None) -> dict:
+    def _forward(self, x: Tensor, channel: ChannelModel, receiver, record=None) -> dict:
         env = self._run(TRANSMITTER, {"x": x}, record)
         env["y"] = channel.apply(env["signal"])
         if record is not None:
             record.append(("channel", env["y"].data))
-        return self._run(RECEIVER, env, record)
+        return self._run(receiver, env, record)
 
     def transmit(self, onehot) -> tuple[Tensor, Tensor, Tensor]:
         """One-hot messages (batch, L, M) to power-normalized signal, plus
@@ -242,22 +249,23 @@ class CommSystem:
 
     def receive(self, y: Tensor) -> Tensor:
         """Channel output (batch, L, latent_dim) to per-position probabilities."""
-        return self._run(RECEIVER, {"y": y})["probs"]
+        return self._run(RECEIVER, {"y": cast(y, SYSTEM_DTYPE)})["probs"]
 
     def end_to_end(self, onehot, channel: ChannelModel) -> EndToEndResult:
+        """Forward through the channel and the loss, computed from the logits."""
         x = self._check_onehot(onehot)
-        env = self._forward(x, channel)
-        loss, breakdown = beta_vae_loss(env["probs"], x, env["mu"], env["logvar"],
+        env = self._forward(x, channel, _DECODER)
+        loss, breakdown = beta_vae_loss(env["h"], x, env["mu"], env["logvar"],
                                         self.config.beta)
-        return EndToEndResult(probs=env["probs"], mu=env["mu"], logvar=env["logvar"],
-                              signal=env["signal"], loss=loss, breakdown=breakdown)
+        return EndToEndResult(mu=env["mu"], logvar=env["logvar"], signal=env["signal"],
+                              loss=loss, breakdown=breakdown)
 
     def trace(self, onehot, channel: ChannelModel) -> list[tuple[str, np.ndarray]]:
         """Stage-by-stage forward capture, for locating non-finite values:
         (stage name, output) for every stage, with the channel output between
         transmitter and receiver as "channel"."""
         steps: list[tuple[str, np.ndarray]] = []
-        self._forward(self._check_onehot(onehot), channel, steps)
+        self._forward(self._check_onehot(onehot), channel, RECEIVER, steps)
         return steps
 
     # -- eval-mode codebook path --------------------------------------------------
@@ -273,8 +281,8 @@ class CommSystem:
         if max_rows < 1:
             raise DomainError(f"max_rows must be >= 1, got {max_rows}")
         M = self.config.M
-        book = np.empty((M, self.config.latent_dim))
-        x = np.zeros((1, min(max_rows, M), M))  # one slice buffer, reused
+        book = np.empty((M, self.config.latent_dim), dtype=SYSTEM_DTYPE)
+        x = np.zeros((1, min(max_rows, M), M), dtype=SYSTEM_DTYPE)  # one slice buffer, reused
         with no_grad():
             for start in range(0, M, max_rows):
                 rows = np.arange(min(max_rows, M - start))
@@ -299,7 +307,7 @@ class CommSystem:
         """
         if self.training:
             raise ConfigError("decide requires eval mode; call eval_mode() first")
-        rows = y.data.reshape(1, -1, y.shape[-1])
+        rows = y.data.astype(SYSTEM_DTYPE, copy=False).reshape(1, -1, y.shape[-1])
         decided = np.empty(rows.shape[1], dtype=np.int64)
         with no_grad():
             for start in range(0, rows.shape[1], _DECIDE_ROWS):
@@ -309,7 +317,7 @@ class CommSystem:
         return decided.reshape(y.shape[:-1])
 
     def _check_onehot(self, onehot) -> Tensor:
-        x = onehot if isinstance(onehot, Tensor) else Tensor(np.asarray(onehot, dtype=np.float64))
+        x = cast(onehot if isinstance(onehot, Tensor) else Tensor(onehot), SYSTEM_DTYPE)
         if x.ndim != 3 or x.shape[2] != self.config.M:
             raise DomainError(
                 f"expected one-hot input of shape (batch, L, {self.config.M}), got {x.shape}"

@@ -1,4 +1,16 @@
-"""Adam with bias-corrected first and second moments."""
+"""Adam with bias-corrected first and second moments, on float64 master weights.
+
+The optimizer keeps a float64 master copy of every parameter, and its
+moments in float64. Each step updates the master copy and writes it back to
+the parameter rounded to the parameter's dtype: a float32 system computes
+in float32, while its weights accumulate their updates in float64, as in
+mixed-precision training (Micikevicius et al., arXiv 1710.03740). For a
+float64 parameter the rounding is exact, so the update is plain Adam.
+
+The master weights, moments and gradients of all parameters live in one
+flat buffer each, so a step is a few passes over those buffers rather than
+a few passes per parameter; ``m`` and ``v`` are per-parameter views.
+"""
 
 from __future__ import annotations
 
@@ -17,25 +29,44 @@ class Adam:
         self.beta2 = beta2
         self.epsilon = epsilon
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        ends = np.cumsum([0] + [p.size for p in self.params])
+        self._slices = [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
+        self._master, self._m, self._v, self._g = (np.zeros(ends[-1]) for _ in range(4))
+        self.master = self._views(self._master)
+        self.m = self._views(self._m)
+        self.v = self._views(self._v)
+        for w, p in zip(self.master, self.params):
+            w[...] = p.data
+        self._written = [p.data for p in self.params]
+
+    def _views(self, flat: np.ndarray) -> list[np.ndarray]:
+        return [flat[s].reshape(p.shape) for s, p in zip(self._slices, self.params)]
 
     def step(self) -> None:
         """One update from the gradients stored on the parameters.
 
         A parameter with grad None is treated as having a zero gradient and
         stays exactly unchanged (its moments remain zero until it gets one).
+        A parameter whose data was replaced since the last step restarts its
+        master copy from the new data.
         """
         self.t += 1
         c1 = 1.0 - self.beta1**self.t
         c2 = 1.0 - self.beta2**self.t
+        live = []
         for i, p in enumerate(self.params):
-            g = p.grad
-            if g is None:
+            if p.grad is None:
                 continue
-            if g.shape != p.data.shape:
-                raise ShapeMismatchError(f"grad shape {g.shape} vs param {p.data.shape}")
-            m, v = self.m[i], self.v[i]
+            if p.grad.shape != p.data.shape:
+                raise ShapeMismatchError(f"grad shape {p.grad.shape} vs param {p.data.shape}")
+            if p.data is not self._written[i]:
+                self.master[i][...] = p.data
+            self._g[self._slices[i]] = p.grad.ravel()
+            live.append(i)
+        # one run of passes over all parameters when every one has a gradient
+        runs = [slice(None)] if len(live) == len(self.params) else [self._slices[i] for i in live]
+        for s in runs:
+            m, v, g = self._m[s], self._v[s], self._g[s]
             # in place, in the operand order of
             # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
             # p = p - lr * (m/c1) / (sqrt(v/c2) + eps)
@@ -51,7 +82,10 @@ class Adam:
             np.sqrt(denom, out=denom)
             denom += self.epsilon
             step /= denom
-            p.data = p.data - step
+            self._master[s] -= step
+        for i in live:
+            p = self.params[i]
+            p.data = self._written[i] = self.master[i].astype(p.data.dtype)
 
     def zero_grad(self) -> None:
         for p in self.params:

@@ -1,8 +1,15 @@
-"""Small reverse-mode autodiff core over float64 numpy buffers.
+"""Small reverse-mode autodiff core over float32 or float64 numpy buffers.
 
 Every operation records a node holding its parents and a gradient closure.
 Calling :meth:`Tensor.backward` on a scalar walks the recorded nodes in
-reverse insertion order and accumulates gradients into ``.grad``.
+reverse insertion order and accumulates gradients into the ``.grad`` of the
+leaves it reaches.
+
+A tensor keeps the floating dtype it is given: float32, the dtype of the
+trained system (``SYSTEM_DTYPE``), or float64, which finite-difference
+checks use. Anything else becomes float64. Python scalars and arrays mixed
+into an operation take the tensor's dtype, and a gradient always has the
+dtype of the tensor it belongs to.
 """
 
 from __future__ import annotations
@@ -16,7 +23,12 @@ import numpy as np
 
 from .errors import DomainError, NonDeterministicFunctionError, ShapeMismatchError
 
+SYSTEM_DTYPE = np.float32
+
+# exp arguments are clipped to +-EXP_CLIP in float64 and +-EXP_CLIP_F32 in
+# float32; exp(88.7) already overflows float32, and exp(-88) is subnormal
 EXP_CLIP = 700.0
+EXP_CLIP_F32 = 80.0
 LOG_FLOOR = 1e-12
 FD_ROUNDING_TO_FLOOR = 1e6
 
@@ -39,18 +51,28 @@ def no_grad():
         _state.grad_enabled = prev
 
 
+def exp_clip(dtype) -> float:
+    """The bound that keeps exp of a ``dtype`` argument finite and normal."""
+    return EXP_CLIP_F32 if dtype == np.float32 else EXP_CLIP
+
+
 class Tensor:
-    """A float64 array with an optional gradient and autodiff bookkeeping."""
+    """A float32 or float64 array with an optional gradient and autodiff bookkeeping."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_grad_fn", "_nid")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype == np.float32 else data.astype(np.float64, copy=False)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._parents = ()
         self._grad_fn = None
         self._nid = next(_counter)
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.data.dtype
 
     @property
     def shape(self) -> tuple:
@@ -81,24 +103,29 @@ class Tensor:
         self.grad = None
 
     def backward(self) -> None:
-        """Accumulate gradients of this scalar into every reachable tensor.
+        """Accumulate gradients of this scalar into every reachable leaf.
 
-        Repeated calls without clearing gradients accumulate.
+        Leaves are the tensors no recorded op produced (parameters and
+        inputs); intermediate results get no ``.grad``. Repeated calls
+        without clearing gradients accumulate.
         """
         if self.data.size != 1:
             raise DomainError(f"backward() needs a scalar, got shape {self.shape}")
         # propagate this call's seed through a local map, then fold into .grad,
-        # so repeated calls accumulate instead of compounding stale node grads
+        # so repeated calls accumulate instead of compounding stale node grads;
+        # an op node's gradient is dropped once passed on, so only leaves remain
         flowing = {self: np.ones_like(self.data)}
         for node in _reverse_order(self):
-            g_out = flowing.get(node)
-            if g_out is None or node._grad_fn is None:
+            if node._grad_fn is None:
+                continue
+            g_out = flowing.pop(node, None)
+            if g_out is None:
                 continue
             grads = node._grad_fn(g_out)
             for parent, g in zip(node._parents, grads):
                 if g is None or not parent.requires_grad:
                     continue
-                g = _reduce_grad(g, parent.data.shape)
+                g = _reduce_grad(g, parent.data.shape, parent.data.dtype)
                 prev = flowing.get(parent)
                 flowing[parent] = g if prev is None else prev + g
         for t, g in flowing.items():
@@ -108,22 +135,22 @@ class Tensor:
     # -- elementwise -------------------------------------------------------
 
     def __add__(self, other):
-        a, b = self, _wrap(other)
+        a, b = self, _wrap(other, self)
         out_data = _broadcast_binary(a, b, np.add)
         return from_op(out_data, (a, b), lambda g: (g, g))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        a, b = self, _wrap(other)
+        a, b = self, _wrap(other, self)
         out_data = _broadcast_binary(a, b, np.subtract)
         return from_op(out_data, (a, b), lambda g: (g, -g))
 
     def __rsub__(self, other):
-        return _wrap(other).__sub__(self)
+        return _wrap(other, self).__sub__(self)
 
     def __mul__(self, other):
-        a, b = self, _wrap(other)
+        a, b = self, _wrap(other, self)
         out_data = _broadcast_binary(a, b, np.multiply)
         ad, bd = a.data, b.data
 
@@ -139,10 +166,11 @@ class Tensor:
         return from_op(-self.data, (self,), lambda g: (-g,))
 
     def exp(self) -> "Tensor":
-        # arguments clipped to +-700 so the forward pass cannot overflow
+        # arguments clipped to +-exp_clip so the forward pass cannot overflow
         x = self.data
-        out = np.exp(np.clip(x, -EXP_CLIP, EXP_CLIP))
-        mask = (x > -EXP_CLIP) & (x < EXP_CLIP)
+        bound = exp_clip(x.dtype)
+        out = np.exp(np.clip(x, -bound, bound))
+        mask = (x > -bound) & (x < bound)
         return from_op(out, (self,), lambda g: (g * out * mask,))
 
     def log(self) -> "Tensor":
@@ -208,10 +236,20 @@ def from_op(data: np.ndarray, parents: tuple, grad_fn) -> Tensor:
     return out
 
 
-def _wrap(value) -> Tensor:
+def cast(x: Tensor, dtype) -> Tensor:
+    """``x`` in ``dtype``: ``x`` itself if it already is, else a node whose
+    gradient flows back unchanged (cast back to ``x``'s dtype)."""
+    if x.data.dtype == dtype:
+        return x
+    return from_op(x.data.astype(dtype), (x,), lambda g: (g,))
+
+
+def _wrap(value, like: Tensor) -> Tensor:
+    """``value`` as a tensor: a Tensor as is, anything else as a constant of
+    ``like``'s dtype (a float64 0-d array would upcast a float32 product)."""
     if isinstance(value, Tensor):
         return value
-    return Tensor(np.asarray(value, dtype=np.float64))
+    return Tensor(np.asarray(value, dtype=like.data.dtype))
 
 
 def _broadcast_binary(a: Tensor, b: Tensor, op) -> np.ndarray:
@@ -221,8 +259,8 @@ def _broadcast_binary(a: Tensor, b: Tensor, op) -> np.ndarray:
     raise ShapeMismatchError(f"operand shapes differ: {a.data.shape} vs {b.data.shape}")
 
 
-def _reduce_grad(g: np.ndarray, shape: tuple) -> np.ndarray:
-    g = np.asarray(g, dtype=np.float64)
+def _reduce_grad(g: np.ndarray, shape: tuple, dtype) -> np.ndarray:
+    g = np.asarray(g, dtype=dtype)
     if g.shape == shape:
         return g
     # gradient flowing back into a broadcast scalar collapses by summation
@@ -299,7 +337,7 @@ def finite_difference_check(f, x: Tensor, step: float = 1e-5, rel_tol: float = 1
             flat[i] = (hi - lo) / (2.0 * step)
             mag[i] = max(abs(hi), abs(lo))
 
-    rounding = np.finfo(np.float64).eps * magnitude / step
+    rounding = np.finfo(leaf.data.dtype).eps * magnitude / step
     floor = np.maximum(FD_ROUNDING_TO_FLOOR * rounding, 1e-8)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
     max_rel = float(np.max(np.abs(analytic - numeric) / denom)) if base.size else 0.0

@@ -158,8 +158,8 @@ def train(system: CommSystem, dataset: Dataset, *, epochs: int, batch_size: int 
             x = one_hot(train_rows[idx], cfg.M)
             states = [g.bit_generator.state for g in _generators(system, channel)]
             result = system.end_to_end(x, channel)
-            value = result.breakdown.total
-            if not np.isfinite(value):
+            breakdown = result.breakdown
+            if not np.isfinite(breakdown.total):
                 layer = _first_non_finite_layer(system, x, channel, states)
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, batch {start // batch_size}; "
@@ -167,6 +167,7 @@ def train(system: CommSystem, dataset: Dataset, *, epochs: int, batch_size: int 
                 )
             optimizer.zero_grad()
             result.loss.backward()
+            del result, x  # frees this step's graph before the next forward
             norm = clip_global_norm(system.parameters(), clip_norm)
             if not np.isfinite(norm):
                 raise TrainingDivergedError(
@@ -177,9 +178,9 @@ def train(system: CommSystem, dataset: Dataset, *, epochs: int, batch_size: int 
             clipped += norm > clip_norm
             max_norm = max(max_norm, norm)
             optimizer.step()
-            loss_sum += value * idx.size
-            kl_sum += result.breakdown.kl_term * idx.size
-            recon_sum += result.breakdown.reconstruction_term * idx.size
+            loss_sum += breakdown.total * idx.size
+            kl_sum += breakdown.kl_term * idx.size
+            recon_sum += breakdown.reconstruction_term * idx.size
             seen += idx.size
         val_loss = _validation_loss(system, val_rows, cfg, train_ebno_db, batch_size)
         record = EpochRecord(

@@ -1,10 +1,15 @@
 """Command line behavior: parsing, precedence, exit codes, file outputs."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vaecomm
 import vaecomm.gradcheck as gradcheck
 from vaecomm.cli import (
     RunConfig,
@@ -370,3 +375,17 @@ def test_gradcheck_injected_fault_names_the_op(monkeypatch, capsys, tmp_path):
     assert "FAILED: bad_op" in out
     rows = json.loads(report_path.read_text())
     assert rows[-1]["name"] == "bad_op" and rows[-1]["passed"] is False
+
+
+def test_the_program_logs_training_progress_to_stderr(tmp_path):
+    src = str(Path(vaecomm.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "vaecomm.cli", "train", "--k", "2", "--n", "1",
+         "--filters", "8", "--L", "3", "--epochs", "1", "--batch", "16",
+         "--train-messages", "40", "--test-messages", "4", "--seed", "1",
+         "--out", str(tmp_path / "m.json")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "vaecomm.training: epoch 1: " in proc.stderr
+    assert "batches clipped" not in proc.stdout

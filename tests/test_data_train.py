@@ -4,17 +4,21 @@ import csv
 import json
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vaecomm.channels import ChannelModel
 from vaecomm.data import Dataset, generate_dataset, one_hot
 from vaecomm.errors import DomainError, ShapeMismatchError, TrainingDivergedError
+from vaecomm.evaluation import evaluate_bler
+from vaecomm.layers import BatchNorm1D
 from vaecomm.model import CommSystem, SystemConfig
 from vaecomm.optim import Adam
-from vaecomm.tensor import Tensor
+from vaecomm.tensor import Tensor, _reverse_order
 from vaecomm import training
 from vaecomm.training import TrainingLog, clip_global_norm, train
 
@@ -212,6 +216,32 @@ def test_adam_matches_the_out_of_place_update_bit_for_bit(shapes, seed):
         assert np.array_equal(v, wv)
 
 
+def test_adam_accumulates_float32_parameters_in_float64():
+    # each update is 1e-4 of an ulp of the float32 weight: lost if applied to
+    # the float32 value, kept by the float64 master copy
+    p = Tensor(np.array([1.0], dtype=np.float32), requires_grad=True)
+    opt = Adam([p], lr=1e-11)
+    for _ in range(20000):
+        p.grad = np.array([1.0], dtype=np.float32)
+        opt.step()
+    assert p.data.dtype == np.float32
+    assert opt.master[0].dtype == opt.m[0].dtype == opt.v[0].dtype == np.float64
+    np.testing.assert_allclose(opt.master[0], 1.0 - 2e-7, rtol=1e-9)
+    assert p.data[0] == np.float32(opt.master[0][0]) < 1.0
+
+
+def test_adam_restarts_the_master_copy_of_replaced_parameter_data():
+    p = Tensor(np.array([1.0, 2.0], dtype=np.float32), requires_grad=True)
+    opt = Adam([p], lr=0.1)
+    p.grad = np.ones(2, dtype=np.float32)
+    opt.step()
+    p.data = np.array([5.0, 6.0], dtype=np.float32)  # as a checkpoint load would
+    p.grad = np.zeros(2, dtype=np.float32)
+    opt.step()
+    assert np.all(np.abs(opt.master[0] - [5.0, 6.0]) < 0.1)  # one momentum step from the new data
+    np.testing.assert_array_equal(p.data, opt.master[0].astype(np.float32))
+
+
 def test_adam_rejects_mismatched_gradient_shape():
     p = Tensor(np.zeros(3), requires_grad=True)
     opt = Adam([p])
@@ -321,8 +351,9 @@ def test_train_records_are_finite_and_consistent():
         for value in (r.train_loss, r.validation_loss, r.kl_term,
                       r.reconstruction_term):
             assert math.isfinite(value)
+        # each batch's total is rounded to float32, its terms are not
         assert r.train_loss == pytest.approx(
-            cfg.beta * r.kl_term + r.reconstruction_term, rel=1e-9)
+            cfg.beta * r.kl_term + r.reconstruction_term, rel=8 * np.finfo(np.float32).eps)
         assert r.wall_time >= 0.0
 
 
@@ -469,3 +500,93 @@ def _record(epoch, train_loss, val_loss, kl, recon, wall=0.0):
     return EpochRecord(epoch=epoch, train_loss=train_loss,
                        validation_loss=val_loss, kl_term=kl,
                        reconstruction_term=recon, wall_time=wall)
+
+
+# ---------------------------------------------------------------- float32 and memory
+
+
+def _one_step(cfg, seed=0, batch=16):
+    """One train() step by hand, so the optimizer and the graph stay reachable."""
+    system = CommSystem(cfg).train_mode()
+    channel = ChannelModel(cfg.channel_kind, 6.0, cfg.code_rate, rng_seed=seed)
+    optimizer = Adam(system.parameters())
+    rows = np.random.default_rng(seed).integers(0, cfg.M, size=(batch, cfg.block_length))
+    x = one_hot(rows, cfg.M)
+    result = system.end_to_end(x, channel)
+    optimizer.zero_grad()
+    result.loss.backward()
+    clip_global_norm(system.parameters(), 5.0)
+    optimizer.step()
+    return system, channel, optimizer, x, result
+
+
+@pytest.mark.parametrize("k, n, kind", [(4, 2, "awgn"), (8, 4, "rayleigh")])
+def test_a_train_step_and_a_sweep_stay_float32(k, n, kind, monkeypatch):
+    cfg = SystemConfig(k=k, n=n, hidden_filters=32, block_length=6, channel_kind=kind, seed=3)
+    system, channel, optimizer, x, result = _one_step(cfg)
+    assert x.dtype == np.float32
+    assert result.loss.dtype == np.float32
+    arrays = [(f"trace {name}", out) for name, out in system.trace(x, channel)]
+    for name, p in system.named_parameters():
+        arrays += [(name, p.data), (f"{name}.grad", p.grad)]
+    # the optimizer's master weights and moments are float64 by design
+    assert all(a.dtype == np.float64 for a in optimizer.master + optimizer.m + optimizer.v)
+    for name, bn in system.layers_of(BatchNorm1D):
+        arrays += [(f"{name} mean", bn.running_mean), (f"{name} var", bn.running_var)]
+
+    system.eval_mode()
+    run, decide, codebook = system._run, system.decide, system.codebook
+
+    def recording_run(stages, env, record=None):
+        env = run(stages, env, record)
+        arrays.extend((f"eval {name}", env[out].data) for name, _, out, _ in stages)
+        return env
+
+    def recording_decide(y):
+        arrays.append(("decide input", y.data))
+        return decide(y)
+
+    def recording_codebook(max_rows):
+        book = codebook(max_rows)
+        arrays.append(("codebook", book))
+        return book
+
+    monkeypatch.setattr(system, "_run", recording_run)
+    monkeypatch.setattr(system, "decide", recording_decide)
+    monkeypatch.setattr(system, "codebook", recording_codebook)
+    evaluate_bler(system, [4.0, 8.0], blocks_per_point=40, seed=1, chunk_blocks=16)
+    names = {name for name, _ in arrays}
+    assert {"codebook", "decide input", "eval rx_conv2", "trace softmax"} <= names
+    wrong = [name for name, a in arrays if a.dtype != np.float32]
+    assert not wrong
+
+
+def test_backward_leaves_no_gradient_on_intermediates():
+    cfg = SystemConfig(k=8, n=4, block_length=10, seed=5)
+    system, _, _, _, result = _one_step(cfg, batch=64)
+    nodes = _reverse_order(result.loss)
+    assert len(nodes) > 30
+    for node in nodes:
+        if node._grad_fn is not None:
+            assert node.grad is None
+    assert all(p.grad is not None for p in system.parameters())
+
+
+def _train_peak_bytes(cfg, batches):
+    system = CommSystem(cfg)
+    data = generate_dataset(cfg.k, cfg.block_length, num_messages=64 * batches, seed=2,
+                            num_test=1)
+    tracemalloc.start()
+    try:
+        train(system, data, epochs=1, batch_size=64, validation_fraction=0.0)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_train_step_does_not_hold_the_previous_steps_graph():
+    # holding step 1's graph (and gradients on its intermediates) while step 2
+    # runs raised the two-step peak by about that graph's size
+    cfg = SystemConfig(k=8, n=4, block_length=10, seed=5)
+    one, two = _train_peak_bytes(cfg, 1), _train_peak_bytes(cfg, 2)
+    assert two <= 1.1 * one

@@ -22,7 +22,7 @@ def test_registry_covers_layers_and_losses():
     for required in ("log_chain", "conv1d_k1_input", "conv1d_weight", "batchnorm_train",
                      "batchnorm_eval", "gaussian_sampling_mu", "gaussian_sampling_logvar",
                      "power_norm", "power_norm_per_position", "elu", "softmax", "kl_mu",
-                     "binary_cross_entropy", "beta_vae_loss"):
+                     "softmax_binary_cross_entropy", "beta_vae_loss"):
         assert required in names
 
 

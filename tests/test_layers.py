@@ -14,6 +14,14 @@ from vaecomm.layers import (
 )
 
 
+# |a - b| <= F32_TOL * max(1, |b|): a float32 result against its formula
+F32_TOL = 8 * np.finfo(np.float32).eps
+
+
+def assert_close_f32(a, b):
+    assert np.all(np.abs(a - b) <= F32_TOL * np.maximum(1.0, np.abs(b)))
+
+
 def _linear_probe(rng, shape):
     # fixed random functional so gradients are nondegenerate
     return Tensor(rng.normal(size=shape))
@@ -113,23 +121,25 @@ def test_batchnorm_train_normalizes_channels():
 
 def test_batchnorm_running_stats_update_rule():
     bn = BatchNorm1D(2, momentum=0.99)
-    x = np.random.default_rng(3).normal(loc=4.0, size=(16, 5, 2))
+    x = np.random.default_rng(3).normal(loc=4.0, size=(16, 5, 2)).astype(np.float32)
     bn(Tensor(x))
+    x = x.astype(np.float64)
     expect_mean = 0.99 * 0.0 + 0.01 * x.mean(axis=(0, 1))
     expect_var = 0.99 * 1.0 + 0.01 * x.var(axis=(0, 1))
-    np.testing.assert_allclose(bn.running_mean, expect_mean, rtol=1e-12)
-    np.testing.assert_allclose(bn.running_var, expect_var, rtol=1e-12)
+    assert bn.running_mean.dtype == bn.running_var.dtype == np.float32
+    assert_close_f32(bn.running_mean, expect_mean)
+    assert_close_f32(bn.running_var, expect_var)
     assert np.all(bn.running_var > 0.0)
 
 
 def test_batchnorm_eval_with_unit_stats_is_identity_up_to_epsilon():
     bn = BatchNorm1D(4)
     bn.training = False
-    x = np.random.default_rng(4).normal(size=(3, 6, 4))
+    x = np.random.default_rng(4).normal(size=(3, 6, 4)).astype(np.float32)
     out = bn(Tensor(x)).data
     np.testing.assert_allclose(out, x, rtol=1e-3, atol=1e-6)
-    # and exactly the affine form (x - 0) / sqrt(1 + eps)
-    np.testing.assert_allclose(out, x / np.sqrt(1.0 + bn.epsilon), rtol=1e-15)
+    # and the affine form (x - 0) / sqrt(1 + eps), to float32 rounding
+    assert_close_f32(out, x.astype(np.float64) / np.sqrt(1.0 + bn.epsilon))
 
 
 def test_batchnorm_eval_is_deterministic():
@@ -206,19 +216,22 @@ def _batchnorm_composed(x, gamma, shift, running_mean, running_var, g, *,
 
 @settings(max_examples=60, deadline=None)
 @given(batch=st.integers(2, 9), length=st.integers(1, 12), channels=st.integers(1, 40),
-       training=st.booleans(), seed=st.integers(0, 2**16))
-@example(batch=64, length=10, channels=256, training=True, seed=0)
+       training=st.booleans(), seed=st.integers(0, 2**16),
+       dtype=st.sampled_from([np.float32, np.float64]))
+@example(batch=64, length=10, channels=256, training=True, seed=0, dtype=np.float32)
+@example(batch=64, length=10, channels=256, training=True, seed=0, dtype=np.float64)
 def test_batchnorm_matches_the_composed_formulas_bit_for_bit(batch, length, channels,
-                                                             training, seed):
+                                                             training, seed, dtype):
     rng = np.random.default_rng(seed)
     bn = BatchNorm1D(channels)
     bn.training = training
-    bn.gamma.data[:] = rng.normal(size=channels)
-    bn.shift.data[:] = rng.normal(size=channels)
-    bn.running_mean = rng.normal(size=channels)
-    bn.running_var = rng.uniform(0.1, 3.0, size=channels)
+    bn.gamma.data = rng.normal(size=channels).astype(dtype)
+    bn.shift.data = rng.normal(size=channels).astype(dtype)
+    bn.running_mean = rng.normal(size=channels).astype(dtype)
+    bn.running_var = rng.uniform(0.1, 3.0, size=channels).astype(dtype)
     x = rng.normal(loc=rng.normal(size=channels) * 4.0, size=(batch, length, channels)) * 2.0
-    g = rng.normal(size=x.shape)
+    x = x.astype(dtype)
+    g = rng.normal(size=x.shape).astype(dtype)
     want = _batchnorm_composed(x, bn.gamma.data, bn.shift.data, bn.running_mean,
                                bn.running_var, g, training=training,
                                momentum=bn.momentum, epsilon=bn.epsilon)

@@ -10,10 +10,11 @@ from vaecomm.losses import (
     PRED_CLIP,
     LossBreakdown,
     beta_vae_loss,
-    binary_cross_entropy,
     kl_standard_normal,
     monte_carlo_expectation,
+    softmax_binary_cross_entropy,
 )
+from vaecomm.layers import softmax
 
 
 # -- KL divergence -------------------------------------------------------------
@@ -84,96 +85,150 @@ def test_kl_gradients_match_finite_differences():
     assert report.passed, ("logvar", report.max_rel_err)
 
 
-# -- binary cross entropy --------------------------------------------------------
+# -- softmax binary cross entropy ---------------------------------------------
 
 
 def test_bce_perfect_prediction_is_zero():
-    pred = Tensor(np.array([1.0, 0.0, 0.0]))
-    target = Tensor(np.array([1.0, 0.0, 0.0]))
-    # clipping keeps log finite, loss collapses to ~0
-    assert binary_cross_entropy(pred, target).item() < 1e-10
+    for dtype in (np.float64, np.float32):
+        logits = Tensor(np.array([40.0, 0.0, 0.0], dtype=dtype))
+        target = Tensor(np.array([1.0, 0.0, 0.0], dtype=dtype))
+        # clipping keeps log finite, loss collapses to ~0
+        assert softmax_binary_cross_entropy(logits, target).item() < 1e-10
 
 
 def test_bce_uniform_two_way_example():
-    loss = binary_cross_entropy(Tensor([0.5, 0.5]), Tensor([1.0, 0.0]))
+    loss = softmax_binary_cross_entropy(Tensor([0.0, 0.0]), Tensor([1.0, 0.0]))
     np.testing.assert_allclose(loss.item(), 2.0 * math.log(2.0), rtol=1e-12)
 
 
 def test_bce_clipping_keeps_confident_mistakes_finite():
-    loss = binary_cross_entropy(Tensor([0.0, 1.0]), Tensor([1.0, 0.0]))
-    assert np.isfinite(loss.item())
-    np.testing.assert_allclose(loss.item(), -2.0 * math.log(1e-12), rtol=1e-6)
+    for dtype in (np.float64, np.float32):
+        logits = Tensor(np.array([-100.0, 100.0], dtype=dtype))
+        loss = softmax_binary_cross_entropy(logits, Tensor([1.0, 0.0]))
+        assert np.isfinite(loss.item())
+        np.testing.assert_allclose(loss.item(), -2.0 * math.log(1e-12), rtol=1e-6)
 
 
 def test_bce_rejects_soft_targets():
     with pytest.raises(DomainError):
-        binary_cross_entropy(Tensor([0.5, 0.5]), Tensor([0.7, 0.3]))
+        softmax_binary_cross_entropy(Tensor([0.0, 0.0]), Tensor([0.7, 0.3]))
 
 
 def test_bce_shape_mismatch():
     with pytest.raises(ShapeMismatchError):
-        binary_cross_entropy(Tensor([0.5]), Tensor([1.0, 0.0]))
+        softmax_binary_cross_entropy(Tensor([0.0]), Tensor([1.0, 0.0]))
 
 
 def test_bce_averages_over_leading_axes():
-    pred = Tensor(np.full((4, 7, 2), 0.5))
+    logits = Tensor(np.zeros((4, 7, 2)))
     target_rows = np.zeros((4, 7, 2))
     target_rows[..., 0] = 1.0
-    loss = binary_cross_entropy(pred, Tensor(target_rows))
+    loss = softmax_binary_cross_entropy(logits, Tensor(target_rows))
     np.testing.assert_allclose(loss.item(), 2.0 * math.log(2.0), rtol=1e-12)
 
 
 def test_bce_gradients_match_finite_differences():
     rng = np.random.default_rng(3)
-    pred = Tensor(rng.uniform(0.1, 0.9, size=(3, 5)))
+    logits = Tensor(rng.uniform(-3.0, 3.0, size=(3, 5)))
     target = np.zeros((3, 5))
     target[np.arange(3), rng.integers(0, 5, size=3)] = 1.0
-    report = finite_difference_check(lambda t: binary_cross_entropy(t, Tensor(target)), pred)
+    report = finite_difference_check(
+        lambda t: softmax_binary_cross_entropy(t, Tensor(target)), logits)
     assert report.passed, report.max_rel_err
 
 
-def _bce_composed(pred: Tensor, target: Tensor) -> Tensor:
-    """The Tensor-op graph binary_cross_entropy replaced: its bit-for-bit oracle."""
+def _bce_of_probabilities(pred: Tensor, target: Tensor) -> Tensor:
+    """The probability-input BCE the logits node replaced, composed from
+    Tensor ops: clip p to [1e-12, 1 - 1e-12], floored logs, sum, mean."""
     p = pred.clip(PRED_CLIP, 1.0 - PRED_CLIP)
     term = target * p.log() + (1.0 - target) * (1.0 - p).log()
     return -(term.sum(axis=-1).mean())
 
 
-# the clip bounds, each side of them, the ends of [0, 1], outside it, and NaN
-_BCE_EDGES = np.array([
-    0.0, 1.0, PRED_CLIP, 1.0 - PRED_CLIP,
-    np.nextafter(PRED_CLIP, 1.0), np.nextafter(1.0 - PRED_CLIP, 0.0),
-    np.nextafter(PRED_CLIP, 0.0), np.nextafter(1.0 - PRED_CLIP, 1.0),
-    -0.5, 1.5, np.nan,
-])
+def _value_and_grad(loss_fn, logits, target, upstream):
+    x = Tensor(logits, requires_grad=True)
+    loss = loss_fn(x, target)
+    (loss * upstream).backward()
+    return loss.data, x.grad
+
+
+def _oracle(x, target):
+    return _bce_of_probabilities(softmax(x), target)
 
 
 @settings(max_examples=60, deadline=None)
-@given(shape=st.lists(st.integers(1, 9), min_size=1, max_size=3).map(tuple),
-       upstream=st.sampled_from([1.0, -2.5, 1e-3, 3e5]), seed=st.integers(0, 2**16))
-def test_bce_matches_the_composed_graph_bit_for_bit(shape, upstream, seed):
+@given(lead=st.lists(st.integers(1, 6), min_size=0, max_size=2).map(tuple),
+       width=st.integers(2, 9), upstream=st.sampled_from([1.0, -2.5, 1e-3, 3e5]),
+       seed=st.integers(0, 2**16))
+def test_softmax_bce_matches_the_probability_oracle(lead, width, upstream, seed):
+    # logits within +-3 keep p at least 1e-3 from 0 and 1: away from the
+    # clip, and where 1 - p costs the oracle no more than 1e-13 relative
     rng = np.random.default_rng(seed)
-    pred = rng.uniform(0.0, 1.0, size=shape)
-    edge = rng.random(shape) < 0.5
-    pred[edge] = rng.choice(_BCE_EDGES, size=int(edge.sum()))
+    shape = lead + (width,)
+    logits = rng.uniform(-3.0, 3.0, size=shape)
     target = Tensor((rng.random(shape) < 0.3).astype(float))
+    value, grad = _value_and_grad(softmax_binary_cross_entropy, logits, target, upstream)
+    want_value, want_grad = _value_and_grad(_oracle, logits, target, upstream)
+    assert abs(value - want_value) <= 1e-12 * abs(want_value)
+    assert np.all(np.abs(grad - want_grad) <= 1e-12 * np.abs(want_grad).max())
 
-    values, grads = [], []
-    for loss_fn in (binary_cross_entropy, _bce_composed):
-        x = Tensor(pred, requires_grad=True)
-        loss = loss_fn(x, target)
-        (loss * upstream).backward()
-        values.append(loss.data)
-        grads.append(x.grad)
-    assert np.array_equal(values[0], values[1], equal_nan=True)
-    assert np.array_equal(grads[0], grads[1], equal_nan=True)
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_softmax_bce_gradient_is_zero_outside_the_clip(dtype):
+    # row 0: every p is outside [1e-12, 1 - 1e-12]; row 1: none is
+    logits = np.array([[45.0, 0.0, -3.0, 1.0], [0.5, -0.2, 1.0, 0.0]], dtype=dtype)
+    target = Tensor(np.array([[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]))
+    value, grad = _value_and_grad(softmax_binary_cross_entropy, logits, target, 1.0)
+    assert grad.dtype == dtype
+    assert np.all(grad[0] == 0.0)
+    assert np.all(grad[1] != 0.0)
+    if dtype == np.float64:
+        want_value, want_grad = _value_and_grad(_oracle, logits, target, 1.0)
+        assert np.array_equal(want_grad[0], grad[0])
+        np.testing.assert_allclose(value, want_value, rtol=1e-12)
+
+
+def test_softmax_bce_sums_the_others_of_the_largest_entry():
+    # 1 - p of the top entry is 1e-9: S - e_max would lose it in float32
+    logits = np.array([[np.log(1e9), 0.0, -np.inf]])
+    target = Tensor(np.array([[1.0, 0.0, 0.0]], dtype=np.float32))
+    loss = softmax_binary_cross_entropy(Tensor(logits.astype(np.float32)), target)
+    # -log p_top and -log(1 - p_other), each about 1e-9, and -log(1 - 0),
+    # which the clip of p to 1e-12 makes -log1p(-1e-12)
+    np.testing.assert_allclose(loss.item(), 2.001e-9, rtol=1e-5)
+
+
+@settings(max_examples=30, deadline=None)
+@given(width=st.integers(2, 300), seed=st.integers(0, 2**16))
+def test_softmax_bce_float32_follows_float64(width, seed):
+    rng = np.random.default_rng(seed)
+    logits = rng.normal(size=(5, width)) * 4.0
+    target = np.zeros((5, width))
+    target[np.arange(5), rng.integers(0, width, size=5)] = 1.0
+    v64, g64 = _value_and_grad(softmax_binary_cross_entropy, logits, Tensor(target), 1.0)
+    v32, g32 = _value_and_grad(softmax_binary_cross_entropy, logits.astype(np.float32),
+                               Tensor(target.astype(np.float32)), 1.0)
+    assert v32.dtype == g32.dtype == np.float32
+    np.testing.assert_allclose(v32, v64, rtol=1e-5)
+    assert np.all(np.abs(g32 - g64) <= 1e-5 * np.abs(g64).max())
+
+
+def test_softmax_bce_float32_gradient_of_a_confident_mistake():
+    # 1 - p of the top entry is 2.3e-7 and the target is elsewhere: a - p * sum(a)
+    # would subtract two terms 4e6 times the result at the top entry
+    logits = np.array([[16.0, 0.0, 0.0], [0.0, 16.0, 1.0]])
+    target = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    _, g64 = _value_and_grad(softmax_binary_cross_entropy, logits, Tensor(target), 1.0)
+    _, g32 = _value_and_grad(softmax_binary_cross_entropy, logits.astype(np.float32),
+                             Tensor(target.astype(np.float32)), 1.0)
+    np.testing.assert_allclose(g32, g64, rtol=1e-5)
 
 
 def test_bce_gradient_is_for_pred_only():
-    pred = Tensor(np.array([[0.2, 0.8]]), requires_grad=True)
+    logits = Tensor(np.array([[0.2, 0.8]]), requires_grad=True)
     target = Tensor(np.array([[0.0, 1.0]]), requires_grad=True)
-    binary_cross_entropy(pred, target).backward()
-    assert pred.grad is not None
+    softmax_binary_cross_entropy(logits, target).backward()
+    assert logits.grad is not None
     assert target.grad is None
 
 
@@ -182,12 +237,12 @@ def test_bce_gradient_is_for_pred_only():
 
 def test_beta_vae_loss_combination():
     rng = np.random.default_rng(4)
-    pred = Tensor(rng.uniform(0.1, 0.9, size=(2, 3, 4)))
+    logits = Tensor(rng.uniform(-2.0, 2.0, size=(2, 3, 4)))
     target = np.zeros((2, 3, 4))
     target[..., 0] = 1.0
     mu = Tensor(rng.normal(size=(2, 3, 4)))
     lv = Tensor(rng.normal(size=(2, 3, 4)))
-    total, bd = beta_vae_loss(pred, Tensor(target), mu, lv, beta=1e-4)
+    total, bd = beta_vae_loss(logits, Tensor(target), mu, lv, beta=1e-4)
     assert isinstance(bd, LossBreakdown)
     np.testing.assert_allclose(bd.total, 1e-4 * bd.kl_term + bd.reconstruction_term, rtol=1e-12)
     np.testing.assert_allclose(total.item(), bd.total, rtol=1e-15)
@@ -195,19 +250,19 @@ def test_beta_vae_loss_combination():
 
 
 def test_beta_zero_reduces_to_reconstruction():
-    pred = Tensor([0.5, 0.5])
+    logits = Tensor([0.0, 0.0])
     target = Tensor([1.0, 0.0])
-    total, bd = beta_vae_loss(pred, target, Tensor([1.0]), Tensor([0.5]), beta=0.0)
+    total, bd = beta_vae_loss(logits, target, Tensor([1.0]), Tensor([0.5]), beta=0.0)
     np.testing.assert_allclose(total.item(), bd.reconstruction_term, rtol=1e-15)
 
 
 def test_loss_increases_with_beta_when_kl_positive():
-    pred = Tensor([0.5, 0.5])
+    logits = Tensor([0.0, 0.0])
     target = Tensor([1.0, 0.0])
     mu, lv = Tensor([1.0]), Tensor([0.0])
     prev = -1.0
     for beta in (0.0, 1e-4, 1e-2, 1.0):
-        total, _ = beta_vae_loss(pred, target, mu, lv, beta=beta)
+        total, _ = beta_vae_loss(logits, target, mu, lv, beta=beta)
         assert total.item() > prev
         prev = total.item()
 
@@ -219,7 +274,7 @@ def test_negative_beta_rejected():
 
 def test_beta_vae_gradients_reach_all_inputs():
     rng = np.random.default_rng(5)
-    pred_data = rng.uniform(0.2, 0.8, size=(2, 4))
+    pred_data = rng.uniform(-2.0, 2.0, size=(2, 4))
     target = np.zeros((2, 4))
     target[:, 1] = 1.0
     mu_data = rng.normal(size=(2, 4))

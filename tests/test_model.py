@@ -4,11 +4,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vaecomm import CheckpointError, ConfigError, DomainError, Tensor
 from vaecomm.channels import ChannelModel
 from vaecomm.checkpoint import load_checkpoint, save_checkpoint
+from vaecomm.data import generate_dataset
+from vaecomm.layers import BatchNorm1D
 from vaecomm.model import RECEIVER, STAGES, TRANSMITTER, CommSystem, EndToEndResult, SystemConfig
+from vaecomm.training import train
+
+
+# |a - b| <= F32_TOL * max(1, |b|): a float32 result against its formula
+F32_TOL = 8 * np.finfo(np.float32).eps
+
+
+def assert_close_f32(a, b):
+    assert np.all(np.abs(a - b) <= F32_TOL * np.maximum(1.0, np.abs(b)))
 
 
 def desk_config(**overrides):
@@ -121,14 +134,14 @@ def test_transmit_shapes_and_power():
     assert signal.shape == (8, 10, 4)
     assert mu.shape == (8, 10, 4)
     assert logvar.shape == (8, 10, 4)
-    np.testing.assert_allclose((signal.data**2).mean(axis=(1, 2)), 1.0, atol=1e-9)
+    assert_close_f32((signal.data.astype(np.float64)**2).mean(axis=(1, 2)), 1.0)
 
 
 def test_transmit_power_constraint_in_train_mode():
     cfg = desk_config()
     sys_ = CommSystem(cfg).train_mode()
     signal, _, _ = sys_.transmit(onehot_batch(cfg, np.random.default_rng(1)))
-    np.testing.assert_allclose((signal.data**2).mean(axis=(1, 2)), 1.0, atol=1e-9)
+    assert_close_f32((signal.data.astype(np.float64)**2).mean(axis=(1, 2)), 1.0)
 
 
 def test_transmit_rejects_non_onehot():
@@ -150,7 +163,7 @@ def test_receive_rows_are_distributions():
     y = Tensor(np.random.default_rng(3).normal(size=(4, 10, 4)))
     probs = sys_.receive(y).data
     assert probs.shape == (4, 10, 16)
-    np.testing.assert_allclose(probs.sum(axis=2), 1.0, atol=1e-12)
+    assert_close_f32(probs.astype(np.float64).sum(axis=2), 1.0)
     assert np.all(probs > 0.0)
 
 
@@ -201,7 +214,7 @@ def test_end_to_end_breakdown_consistent():
     ch = ChannelModel("awgn", 6.0, cfg.code_rate, rng_seed=2)
     res = sys_.end_to_end(onehot_batch(cfg, np.random.default_rng(6)), ch)
     bd = res.breakdown
-    np.testing.assert_allclose(bd.total, bd.beta * bd.kl_term + bd.reconstruction_term, rtol=1e-12)
+    assert_close_f32(bd.total, bd.beta * bd.kl_term + bd.reconstruction_term)
     assert bd.kl_term >= 0.0
 
 
@@ -352,3 +365,44 @@ def test_checkpoint_error_names_offending_field(tmp_path):
     q.write_text(json.dumps(broken))
     with pytest.raises(CheckpointError, match="missing"):
         load_checkpoint(str(q))
+
+
+@settings(max_examples=25, deadline=None)
+@given(k=st.integers(1, 8), n=st.integers(1, 4), m=st.sampled_from([2, 4]),
+       filters=st.integers(1, 32), kind=st.sampled_from(["awgn", "rayleigh"]),
+       length=st.integers(1, 12), seed=st.integers(0, 2**16))
+def test_checkpoint_roundtrip_after_a_train_step(tmp_path_factory, k, n, m, filters, kind,
+                                                 length, seed):
+    cfg = SystemConfig(k=k, n=n, latent_multiplier=m, hidden_filters=filters,
+                       channel_kind=kind, block_length=length, seed=seed)
+    sys_ = CommSystem(cfg)
+    data = generate_dataset(k, length, num_messages=4, seed=seed, num_test=1)
+    train(sys_, data, epochs=1, batch_size=4, validation_fraction=0.0)  # one step
+
+    tmp = tmp_path_factory.mktemp("roundtrip")
+    first, second = tmp / "a.json", tmp / "b.json"
+    save_checkpoint(sys_, str(first))
+    loaded = load_checkpoint(str(first))
+    save_checkpoint(loaded, str(second))
+    assert first.read_bytes() == second.read_bytes()
+    for (_, ta), (_, tb) in zip(sys_.named_parameters(), loaded.named_parameters()):
+        assert tb.dtype == np.float32
+        assert np.array_equal(ta.data, tb.data)
+    for (_, a), (_, b) in zip(sys_.layers_of(BatchNorm1D), loaded.layers_of(BatchNorm1D)):
+        assert b.running_mean.dtype == b.running_var.dtype == np.float32
+        assert np.array_equal(a.running_mean, b.running_mean)
+        assert np.array_equal(a.running_var, b.running_var)
+
+
+def test_float64_checkpoint_values_load_rounded_to_float32(tmp_path):
+    sys_ = CommSystem(desk_config(seed=14))
+    path = tmp_path / "m.json"
+    save_checkpoint(sys_, str(path))
+    doc = json.loads(path.read_text())
+    doc["layers"][0]["values"][0] = 0.1  # not a float32 value
+    doc["batchnorm_running_stats"]["tx_bn"]["mean"][0] = 1 / 3
+    path.write_text(json.dumps(doc))
+    loaded = load_checkpoint(str(path))
+    assert loaded.tx_conv1.weight.data.reshape(-1)[0] == np.float32(0.1)
+    assert loaded.tx_bn.running_mean[0] == np.float32(1 / 3)
+    assert loaded.tx_bn.running_mean.dtype == np.float32
