@@ -12,11 +12,16 @@ Point index equals the MSB-first integer value of the bit group. The Rayleigh
 option uses coherent detection with perfect CSI (divide by h), the textbook
 reference receiver; the learned system never sees CSI, so the comparison is
 deliberately favourable to the baseline.
+
+Each ``baseline_bler`` call logs one INFO line (constellation, Eb/N0, blocks,
+block errors, seconds, bits/s) on the ``vaecomm.baselines`` logger.
 """
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +30,8 @@ from scipy.special import erfc
 from .channels import noise_variance
 from .curves import wilson_interval
 from .errors import ConfigError, DomainError, ShapeMismatchError
+
+log = logging.getLogger(__name__)
 
 _GRAY_PAM4 = {0b00: -3.0, 0b01: -1.0, 0b11: 1.0, 0b10: 3.0}
 
@@ -152,6 +159,7 @@ def baseline_bler(c: Constellation, ebno_db: float, k: int, L: int, n_blocks: in
     if channel not in ("awgn", "rayleigh"):
         raise ConfigError(f"unknown channel {channel!r}")
 
+    start = time.perf_counter()
     sigma = math.sqrt(noise_variance(ebno_db, float(c.bits_per_symbol)))
     rng = np.random.default_rng(seed)
     bits_per_block = k * L
@@ -178,6 +186,10 @@ def baseline_bler(c: Constellation, ebno_db: float, k: int, L: int, n_blocks: in
         block_errors += int(sym_wrong.any(axis=1).sum())
         done += nb
 
+    seconds = time.perf_counter() - start
+    log.info("%s: Eb/N0 %s dB, %d blocks, %d block errors, %.3f s, %.0f bits/s",
+             c.name, ebno_db, n_blocks, block_errors, seconds,
+             n_blocks * bits_per_block / seconds)
     ci_low, ci_high = wilson_interval(block_errors, n_blocks)
     return BaselineResult(
         bler=block_errors / n_blocks,

@@ -13,6 +13,7 @@ with (``V1_BLOCK_LENGTH``), and warn that it was assumed.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import warnings
@@ -27,8 +28,7 @@ from .tensor import SYSTEM_DTYPE
 FORMAT_VERSION = 2
 V1_BLOCK_LENGTH = 100
 
-_CONFIG_FIELDS = ("k", "n", "latent_multiplier", "hidden_filters", "beta", "channel_kind",
-                  "block_length", "seed")
+_CONFIG_FIELDS = tuple(f.name for f in dataclasses.fields(SystemConfig))
 
 
 def save_checkpoint(system: CommSystem, path: str) -> None:

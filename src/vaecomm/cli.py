@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import logging
 import math
 import sys
@@ -25,11 +24,11 @@ from dataclasses import dataclass
 
 from .baselines import BaselineResult, Constellation, analytic_ber, baseline_bler
 from .checkpoint import load_checkpoint, save_checkpoint
-from .curves import BlerCurve, BlerPoint
+from .curves import FORMATS, BlerCurve, BlerPoint, dataclass_table, write_table
 from .data import generate_dataset
 from .errors import ConfigError, VaecommError
-from .evaluation import block_length_transfer, evaluate_bler, transfer_to_csv, transfer_to_json
-from .gradcheck import run_all
+from .evaluation import TransferRecord, block_length_transfer, evaluate_bler
+from .gradcheck import ComponentReport, run_all
 from .model import CommSystem, SystemConfig
 from .seeding import derive_seed
 from .training import train
@@ -122,16 +121,18 @@ def _flag_type(parser_fn):
     return convert
 
 
+def _parse_format(text: str) -> str:
+    if text not in FORMATS:
+        raise ValueError(f"format must be one of {list(FORMATS)}, got {text!r}")
+    return text
+
+
+# Config-file converters: the type of each RunConfig default (str for paths
+# that default to None), except where the text has a syntax of its own.
 _CONVERTERS = {
-    "k": int, "n": int, "latent_mult": int, "filters": int, "epochs": int,
-    "batch": int, "L": int, "blocks": int, "seed": int, "trials": int,
-    "train_messages": int, "test_messages": int,
-    "beta": float, "lr": float, "train_ebno_db": float, "ebno_db": float,
-    "rel_tol": float,
-    "channel": str, "format": str, "constellation": str, "checkpoint": str,
-    "out": str,
-    "ebno": parse_sweep, "lengths": parse_lengths,
-}
+    field.name: str if field.default is None else type(field.default)
+    for field in dataclasses.fields(RunConfig)
+} | {"ebno": parse_sweep, "lengths": parse_lengths, "format": _parse_format}
 
 
 def read_config_file(path: str) -> dict:
@@ -197,7 +198,7 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int)
     sub.add_argument("--config", help="flat key=value config file")
     sub.add_argument("--out", help="output file path")
-    sub.add_argument("--format", choices=("csv", "json"))
+    sub.add_argument("--format", choices=FORMATS)
     sub.add_argument("--paper-scale", action="store_true",
                      help="preset: L=100, 12800/64000 messages, 150 epochs")
 
@@ -262,11 +263,8 @@ def cmd_train(cfg: RunConfig, explicit: frozenset) -> int:
     logbook = train(system, dataset, epochs=cfg.epochs, batch_size=cfg.batch,
                     lr=cfg.lr, train_ebno_db=cfg.train_ebno_db)
     save_checkpoint(system, cfg.out)
-    log_path = cfg.out + (".log.csv" if cfg.format == "csv" else ".log.json")
-    if cfg.format == "csv":
-        logbook.to_csv(log_path)
-    else:
-        logbook.to_json(log_path)
+    log_path = f"{cfg.out}.log.{cfg.format}"
+    write_table(log_path, cfg.format, *logbook.table())
     print(f"wrote checkpoint {cfg.out}")
     print(f"wrote training log {log_path}")
     if logbook.records:
@@ -304,7 +302,7 @@ def cmd_sweep(cfg: RunConfig, explicit: frozenset) -> int:
     length = cfg.L if "L" in explicit else system.config.block_length
     curve = evaluate_bler(system, cfg.ebno, cfg.blocks, cfg.seed,
                           block_length=length)
-    _write_curve(curve, cfg)
+    write_table(cfg.out, cfg.format, *curve.table())
     print(f"wrote {cfg.out} ({len(curve.points)} points)")
     return 0
 
@@ -326,7 +324,7 @@ def cmd_baseline(cfg: RunConfig, explicit: frozenset) -> int:
             analytic_ber=(analytic_ber(constellation, ebno)
                           if cfg.channel == "awgn" else None),
         ))
-    _write_curve(BlerCurve(points=points), cfg)
+    write_table(cfg.out, cfg.format, *BlerCurve(points=points).table())
     print(f"wrote {cfg.out} ({len(points)} points)")
     return 0
 
@@ -337,10 +335,7 @@ def cmd_transfer(cfg: RunConfig, explicit: frozenset) -> int:
     system = _load_for_eval(cfg, explicit)
     records = block_length_transfer(system, cfg.lengths, cfg.ebno_db,
                                     blocks_per_length=cfg.blocks, seed=cfg.seed)
-    if cfg.format == "csv":
-        transfer_to_csv(records, cfg.out)
-    else:
-        transfer_to_json(records, cfg.out)
+    write_table(cfg.out, cfg.format, *dataclass_table(TransferRecord, records))
     print(f"wrote {cfg.out} ({len(records)} lengths)")
     return 0
 
@@ -351,22 +346,13 @@ def cmd_gradcheck(cfg: RunConfig, explicit: frozenset) -> int:
         status = "PASS" if r.passed else "FAIL"
         print(f"{r.name:<28s} max_rel_err={r.max_rel_err:.3e} {status}")
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            json.dump([dataclasses.asdict(r) for r in reports], fh, indent=1)
-            fh.write("\n")
+        write_table(cfg.out, "json", *dataclass_table(ComponentReport, reports))
     failures = [r.name for r in reports if not r.passed]
     if failures:
         print(f"FAILED: {', '.join(failures)}")
         return 1
     print(f"all {len(reports)} gradient checks passed")
     return 0
-
-
-def _write_curve(curve: BlerCurve, cfg: RunConfig) -> None:
-    if cfg.format == "csv":
-        curve.to_csv(cfg.out)
-    else:
-        curve.to_json(cfg.out)
 
 
 _DISPATCH = {

@@ -1,18 +1,47 @@
-"""Error-rate sweep records with deterministic CSV / JSON serialization."""
+"""Error-rate sweep records, and the one writer for every result table.
+
+``write_table`` writes sweep and baseline curves, block-length transfers and
+training logs alike. A table is a tuple of column names and rows of values
+in column order. CSV is the csv module's dialect (CRLF row ends) with floats
+written by ``repr``; JSON is a list of one object per row at indent 1,
+followed by a newline. Both keep every float exact, so rerunning a command
+with the same seed writes the same bytes.
+"""
 
 from __future__ import annotations
 
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 
 Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 
-CSV_COLUMNS = ("ebno_db", "bler", "ser", "ci_low", "ci_high", "blocks", "block_length", "seed",
-               "system_label")
+FORMATS = ("csv", "json")
+
+
+def write_table(path: str, fmt: str, columns, rows) -> None:
+    """Write rows (sequences in column order) to path as "csv" or "json"."""
+    if fmt not in FORMATS:
+        raise ConfigError(f"unknown result format {fmt!r}, choose from {list(FORMATS)}")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        if fmt == "csv":
+            writer = csv.writer(fh)
+            writer.writerow(columns)
+            for row in rows:
+                # repr(float()) also writes numpy float64 as a plain number
+                writer.writerow([repr(float(v)) if isinstance(v, float) else str(v)
+                                 for v in row])
+        else:
+            json.dump([dict(zip(columns, row)) for row in rows], fh, indent=1)
+            fh.write("\n")
+
+
+def dataclass_table(cls, records) -> tuple[tuple[str, ...], list[tuple]]:
+    """A table of flat dataclass records: the class's fields are the columns."""
+    return tuple(f.name for f in fields(cls)), [astuple(r) for r in records]
 
 
 def wilson_interval(successes: int, trials: int, z: float = Z_95) -> tuple[float, float]:
@@ -51,26 +80,8 @@ class BlerCurve:
     def has_analytic(self) -> bool:
         return any(p.analytic_ber is not None for p in self.points)
 
-    def to_csv(self, path: str) -> None:
-        columns = CSV_COLUMNS + (("analytic_ber",) if self.has_analytic() else ())
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(columns)
-            for p in self.points:
-                writer.writerow([_cell(getattr(p, c)) for c in columns])
-
-    def to_json(self, path: str) -> None:
-        rows = []
-        for p in self.points:
-            row = asdict(p)
-            if not self.has_analytic():
-                row.pop("analytic_ber")
-            rows.append(row)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(rows, fh, indent=1)
-            fh.write("\n")
-
-
-def _cell(value) -> str:
-    # repr keeps full float precision and is byte-stable across runs
-    return repr(float(value)) if isinstance(value, float) else str(value)
+    def table(self) -> tuple[tuple[str, ...], list[tuple]]:
+        """BlerPoint's fields as columns, without analytic_ber when no point has one."""
+        analytic = self.has_analytic()
+        columns = tuple(f.name for f in fields(BlerPoint) if analytic or f.name != "analytic_ber")
+        return columns, [tuple(getattr(p, c) for c in columns) for p in self.points]

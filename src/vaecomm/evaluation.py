@@ -16,9 +16,14 @@ run one after another on the calling thread. A thread pool runs them when
 for more than one; on a 2-vCPU machine the pool measured slower than the
 calling thread.
 
-Each point logs one INFO line (index, Eb/N0 or L, blocks, block errors,
-seconds, symbols/s) on the ``vaecomm.evaluation`` logger. The returned
-curves and records hold no wall-clock data.
+``evaluate_bler`` (points over Eb/N0) and ``block_length_transfer`` (points
+over L) check their own arguments and build their own records; the
+measurement itself is one loop over (Eb/N0, L) settings, ``_measure``, where
+a setting's position is its point index. So a transfer at one length and a
+sweep at one point count the same draws. Each point logs one INFO line
+(index, Eb/N0 or L, blocks, block errors, seconds, symbols/s) on the
+``vaecomm.evaluation`` logger. The returned curves and records hold no
+wall-clock data; ``curves.write_table`` writes them.
 """
 
 from __future__ import annotations
@@ -122,11 +127,30 @@ def _point_counts(system, codebook, ebno_db: float, length: int, n_blocks: int, 
     return block_errors, symbol_errors
 
 
-def _log_point(what: str, index: int, total: int, value: str, blocks: int, length: int,
-               block_errors: int, seconds: float) -> None:
-    log.info("%s %d/%d: %s, %d blocks, %d block errors, %.3f s, %.0f symbols/s",
-             what, index + 1, total, value, blocks, block_errors, seconds,
-             blocks * length / seconds)
+def _measure(system, caller: str, what: str, settings, blocks: int, seed: int,
+             chunk_blocks: int, workers: int | None) -> list[tuple[int, int]]:
+    """(block_errors, symbol_errors) at each (Eb/N0, L, text) setting, in order.
+
+    The position of a setting is its point index in the random streams. Each
+    point logs one INFO line, "<what> i/n: <text>, ...".
+    """
+    if chunk_blocks < 1:
+        raise DomainError(f"chunk_blocks must be >= 1, got {chunk_blocks}")
+    if system.training:
+        raise ConfigError(f"{caller} requires eval mode; call eval_mode() first")
+    codebook = system.codebook(chunk_blocks)
+    counts = []
+    with _chunk_map(resolve_worker_count(workers)) as chunk_map:
+        for idx, (ebno_db, length, text) in enumerate(settings):
+            start = time.perf_counter()
+            block_errors, symbol_errors = _point_counts(
+                system, codebook, ebno_db, length, blocks, seed, idx, chunk_blocks, chunk_map)
+            seconds = time.perf_counter() - start
+            log.info("%s %d/%d: %s, %d blocks, %d block errors, %.3f s, %.0f symbols/s",
+                     what, idx + 1, len(settings), text, blocks, block_errors, seconds,
+                     blocks * length / seconds)
+            counts.append((block_errors, symbol_errors))
+    return counts
 
 
 def default_label(system) -> str:
@@ -152,38 +176,28 @@ def evaluate_bler(system, ebno_points, blocks_per_point: int, seed: int, *,
         raise DomainError(f"ebno_points must be strictly increasing, got {points}")
     if blocks_per_point < 1:
         raise DomainError(f"blocks_per_point must be >= 1, got {blocks_per_point}")
-    if chunk_blocks < 1:
-        raise DomainError(f"chunk_blocks must be >= 1, got {chunk_blocks}")
-    if system.training:
-        raise ConfigError("evaluate_bler requires eval mode; call eval_mode() first")
-
     length = system.config.block_length if block_length is None else block_length
     if length < 1:
         raise DomainError(f"block_length must be >= 1, got {length}")
     name = default_label(system) if label is None else label
-    codebook = system.codebook(chunk_blocks)
 
+    counts = _measure(system, "evaluate_bler", "point",
+                      [(ebno, length, f"Eb/N0 {ebno} dB") for ebno in points],
+                      blocks_per_point, seed, chunk_blocks, workers)
     curve_points = []
-    with _chunk_map(resolve_worker_count(workers)) as chunk_map:
-        for p_idx, ebno in enumerate(points):
-            start = time.perf_counter()
-            block_errors, symbol_errors = _point_counts(
-                system, codebook, ebno, length, blocks_per_point, seed, p_idx, chunk_blocks,
-                chunk_map)
-            _log_point("point", p_idx, len(points), f"Eb/N0 {ebno} dB", blocks_per_point,
-                       length, block_errors, time.perf_counter() - start)
-            lo, hi = wilson_interval(block_errors, blocks_per_point)
-            curve_points.append(BlerPoint(
-                ebno_db=ebno,
-                bler=block_errors / blocks_per_point,
-                ser=symbol_errors / (blocks_per_point * length),
-                ci_low=lo,
-                ci_high=hi,
-                blocks=blocks_per_point,
-                block_length=length,
-                seed=seed,
-                system_label=name,
-            ))
+    for ebno, (block_errors, symbol_errors) in zip(points, counts):
+        lo, hi = wilson_interval(block_errors, blocks_per_point)
+        curve_points.append(BlerPoint(
+            ebno_db=ebno,
+            bler=block_errors / blocks_per_point,
+            ser=symbol_errors / (blocks_per_point * length),
+            ci_low=lo,
+            ci_high=hi,
+            blocks=blocks_per_point,
+            block_length=length,
+            seed=seed,
+            system_label=name,
+        ))
     return BlerCurve(points=curve_points)
 
 
@@ -198,61 +212,27 @@ def block_length_transfer(system, lengths, ebno_db: float, blocks_per_length: in
         raise DomainError(f"block lengths must be >= 1, got {sizes}")
     if blocks_per_length < 1:
         raise DomainError(f"blocks_per_length must be >= 1, got {blocks_per_length}")
-    if chunk_blocks < 1:
-        raise DomainError(f"chunk_blocks must be >= 1, got {chunk_blocks}")
-    if system.training:
-        raise ConfigError("block_length_transfer requires eval mode; call eval_mode() first")
-
     name = default_label(system) if label is None else label
-    codebook = system.codebook(chunk_blocks)
+
+    counts = _measure(system, "block_length_transfer", "length",
+                      [(float(ebno_db), length, f"L={length}") for length in sizes],
+                      blocks_per_length, seed, chunk_blocks, workers)
     records = []
-    with _chunk_map(resolve_worker_count(workers)) as chunk_map:
-        for l_idx, length in enumerate(sizes):
-            start = time.perf_counter()
-            block_errors, symbol_errors = _point_counts(
-                system, codebook, float(ebno_db), length, blocks_per_length, seed, l_idx,
-                chunk_blocks, chunk_map)
-            _log_point("length", l_idx, len(sizes), f"L={length}", blocks_per_length, length,
-                       block_errors, time.perf_counter() - start)
-            symbols = blocks_per_length * length
-            b_lo, b_hi = wilson_interval(block_errors, blocks_per_length)
-            s_lo, s_hi = wilson_interval(symbol_errors, symbols)
-            records.append(TransferRecord(
-                block_length=length,
-                ser=symbol_errors / symbols,
-                ser_ci_low=s_lo,
-                ser_ci_high=s_hi,
-                bler=block_errors / blocks_per_length,
-                bler_ci_low=b_lo,
-                bler_ci_high=b_hi,
-                blocks=blocks_per_length,
-                seed=seed,
-                system_label=name,
-            ))
+    for length, (block_errors, symbol_errors) in zip(sizes, counts):
+        symbols = blocks_per_length * length
+        b_lo, b_hi = wilson_interval(block_errors, blocks_per_length)
+        s_lo, s_hi = wilson_interval(symbol_errors, symbols)
+        records.append(TransferRecord(
+            block_length=length,
+            ser=symbol_errors / symbols,
+            ser_ci_low=s_lo,
+            ser_ci_high=s_hi,
+            bler=block_errors / blocks_per_length,
+            bler_ci_low=b_lo,
+            bler_ci_high=b_hi,
+            blocks=blocks_per_length,
+            seed=seed,
+            system_label=name,
+        ))
     return records
 
-
-def transfer_to_csv(records: list[TransferRecord], path: str) -> None:
-    import csv
-
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([
-            "block_length", "ser", "ser_ci_low", "ser_ci_high",
-            "bler", "bler_ci_low", "bler_ci_high", "blocks", "seed", "system_label",
-        ])
-        for r in records:
-            writer.writerow([
-                r.block_length, repr(r.ser), repr(r.ser_ci_low), repr(r.ser_ci_high),
-                repr(r.bler), repr(r.bler_ci_low), repr(r.bler_ci_high),
-                r.blocks, r.seed, r.system_label,
-            ])
-
-
-def transfer_to_json(records: list[TransferRecord], path: str) -> None:
-    import dataclasses
-    import json
-
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump([dataclasses.asdict(r) for r in records], fh, indent=1)
-        fh.write("\n")

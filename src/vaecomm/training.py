@@ -8,8 +8,6 @@ noise, and latent sampling each own an independent derived stream.
 from __future__ import annotations
 
 import copy
-import csv
-import json
 import logging
 import time
 from dataclasses import dataclass, field
@@ -46,34 +44,15 @@ class EpochRecord:
 class TrainingLog:
     records: list[EpochRecord] = field(default_factory=list)
 
-    # wall_time stays out of both formats so reruns are byte-identical
-    def to_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "train_loss", "val_loss", "kl", "recon"])
-            for r in self.records:
-                writer.writerow([
-                    r.epoch,
-                    repr(r.train_loss),
-                    repr(r.validation_loss),
-                    repr(r.kl_term),
-                    repr(r.reconstruction_term),
-                ])
+    def table(self) -> tuple[tuple[str, ...], list[tuple]]:
+        """Columns and rows for ``curves.write_table``.
 
-    def to_json(self, path: str) -> None:
-        rows = [
-            {
-                "epoch": r.epoch,
-                "train_loss": r.train_loss,
-                "val_loss": r.validation_loss,
-                "kl": r.kl_term,
-                "recon": r.reconstruction_term,
-            }
+        wall_time stays out so reruns are byte-identical.
+        """
+        return ("epoch", "train_loss", "val_loss", "kl", "recon"), [
+            (r.epoch, r.train_loss, r.validation_loss, r.kl_term, r.reconstruction_term)
             for r in self.records
         ]
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(rows, fh, indent=1)
-            fh.write("\n")
 
 
 def clip_global_norm(params, max_norm: float) -> float:

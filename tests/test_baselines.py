@@ -1,4 +1,5 @@
 import itertools
+import logging
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from vaecomm.baselines import (
     modulate,
     qfunc,
 )
-from vaecomm.curves import BlerCurve, BlerPoint, wilson_interval
+from vaecomm.curves import BlerCurve, BlerPoint, wilson_interval, write_table
 
 
 def hamming(a: int, b: int) -> int:
@@ -168,6 +169,19 @@ def test_baseline_reproducible_and_counts_consistent():
     assert a.bler >= a.ser
 
 
+def test_baseline_logs_one_line_per_call(caplog):
+    c = Constellation.qpsk()
+    with caplog.at_level(logging.INFO, logger="vaecomm.baselines"):
+        result = baseline_bler(c, 4.0, k=2, L=5, n_blocks=300, seed=6, chunk_blocks=128)
+    lines = [r.getMessage() for r in caplog.records if r.name == "vaecomm.baselines"]
+    assert len(lines) == 1
+    assert lines[0].startswith(
+        f"qpsk: Eb/N0 4.0 dB, 300 blocks, {result.block_errors} block errors, ")
+    assert lines[0].endswith(" bits/s")
+    caplog.clear()
+    assert baseline_bler(c, 4.0, k=2, L=5, n_blocks=300, seed=6, chunk_blocks=128) == result
+
+
 def test_baseline_rejects_partial_symbols():
     with pytest.raises(ConfigError):
         baseline_bler(Constellation.qam16(), 8.0, k=3, L=3, n_blocks=10, seed=0)
@@ -194,7 +208,7 @@ def test_curve_csv_schema(tmp_path):
         BlerPoint(5.0, 0.5, 0.25, 0.4, 0.6, 100, 10, 42, "test_system"),
     ])
     path = tmp_path / "curve.csv"
-    curve.to_csv(str(path))
+    write_table(str(path), "csv", *curve.table())
     lines = path.read_text().splitlines()
     assert lines[0] == "ebno_db,bler,ser,ci_low,ci_high,blocks,block_length,seed,system_label"
     assert lines[1] == "5.0,0.5,0.25,0.4,0.6,100,10,42,test_system"
@@ -205,7 +219,7 @@ def test_curve_csv_with_analytic_column(tmp_path):
         BlerPoint(5.0, 0.5, 0.25, 0.4, 0.6, 100, 10, 42, "qpsk_awgn", analytic_ber=0.125),
     ])
     path = tmp_path / "curve.csv"
-    curve.to_csv(str(path))
+    write_table(str(path), "csv", *curve.table())
     lines = path.read_text().splitlines()
     assert lines[0].endswith(",analytic_ber")
     assert lines[1].endswith(",0.125")
@@ -216,7 +230,7 @@ def test_curve_json_roundtrip(tmp_path):
 
     curve = BlerCurve([BlerPoint(5.0, 0.5, 0.25, 0.4, 0.6, 100, 10, 42, "sys")])
     path = tmp_path / "curve.json"
-    curve.to_json(str(path))
+    write_table(str(path), "json", *curve.table())
     rows = json.loads(path.read_text())
     assert rows[0]["ebno_db"] == 5.0
     assert rows[0]["block_length"] == 10

@@ -90,6 +90,16 @@ def test_config_file_errors(tmp_path):
         read_config_file(str(bad_value))
 
 
+def test_config_file_format_is_checked_before_any_work(tmp_path, capsys):
+    cfg_file = tmp_path / "c.cfg"
+    cfg_file.write_text("blocks = 10\nformat = xml\n")
+    out = tmp_path / "b.xml"
+    code = main(["baseline", "--config", str(cfg_file), "--out", str(out)])
+    assert code == 3
+    assert f"{cfg_file}:2: bad value for format" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class _Namespace:
     def __init__(self, **kw):
         self.__dict__.update(kw)

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vaecomm.channels import ChannelModel
+from vaecomm.curves import write_table
 from vaecomm.data import Dataset, generate_dataset, one_hot
 from vaecomm.errors import DomainError, ShapeMismatchError, TrainingDivergedError
 from vaecomm.evaluation import evaluate_bler
@@ -472,7 +473,7 @@ def test_training_log_csv_format(tmp_path):
     logbook.records.append(_record(1, 2.5, 2.625, 10.0, 2.0))
     logbook.records.append(_record(2, 1.25, 1.5, 8.0, 1.0))
     path = tmp_path / "log.csv"
-    logbook.to_csv(str(path))
+    write_table(str(path), "csv", *logbook.table())
     lines = path.read_text().splitlines()
     assert lines[0] == "epoch,train_loss,val_loss,kl,recon"
     assert lines[1] == "1,2.5,2.625,10.0,2.0"
@@ -485,10 +486,10 @@ def test_training_log_serialization_excludes_wall_time(tmp_path):
     a = TrainingLog(records=[_record(1, 0.5, 0.75, 1.0, 0.25, wall=1.0)])
     b = TrainingLog(records=[_record(1, 0.5, 0.75, 1.0, 0.25, wall=99.0)])
     pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
-    a.to_csv(str(pa)); b.to_csv(str(pb))
+    write_table(str(pa), "csv", *a.table()); write_table(str(pb), "csv", *b.table())
     assert pa.read_bytes() == pb.read_bytes()
     ja, jb = tmp_path / "a.json", tmp_path / "b.json"
-    a.to_json(str(ja)); b.to_json(str(jb))
+    write_table(str(ja), "json", *a.table()); write_table(str(jb), "json", *b.table())
     assert ja.read_bytes() == jb.read_bytes()
     loaded = json.loads(ja.read_text())
     assert loaded == [{"epoch": 1, "train_loss": 0.5, "val_loss": 0.75,

@@ -14,16 +14,16 @@ from hypothesis import strategies as st
 
 from vaecomm import evaluation, model
 from vaecomm.channels import ChannelModel
+from vaecomm.curves import dataclass_table, write_table
 from vaecomm.data import generate_dataset, one_hot
 from vaecomm.errors import ConfigError, DomainError
 from vaecomm.evaluation import (
     THREADS_ENV_VAR,
+    TransferRecord,
     block_length_transfer,
     default_label,
     evaluate_bler,
     resolve_worker_count,
-    transfer_to_csv,
-    transfer_to_json,
 )
 from vaecomm.layers import BatchNorm1D
 from vaecomm.model import CommSystem, SystemConfig
@@ -396,6 +396,16 @@ def test_transfer_rates_and_intervals_consistent():
         assert r.system_label == "vae_k2n1m2_awgn"
 
 
+def test_transfer_at_one_length_is_the_sweep_at_one_point():
+    """Both run point index 0, so they draw the same messages and noise."""
+    system = small_system()
+    [record] = block_length_transfer(system, [7], 3.0, blocks_per_length=96, seed=5,
+                                     chunk_blocks=40)
+    [point] = evaluate_bler(system, [3.0], 96, 5, block_length=7, chunk_blocks=40).points
+    assert 0.0 < record.ser < 1.0
+    assert (record.bler, record.ser) == (point.bler, point.ser)
+
+
 def test_transfer_deterministic_across_workers():
     system = small_system()
     a = block_length_transfer(system, [3, 6], 4.0, blocks_per_length=128,
@@ -424,13 +434,13 @@ def test_transfer_csv_and_json_output(tmp_path):
     records = block_length_transfer(EchoSystem(), [2, 4], math.inf,
                                     blocks_per_length=10, seed=1, label="echo")
     csv_path = tmp_path / "transfer.csv"
-    transfer_to_csv(records, str(csv_path))
+    write_table(str(csv_path), "csv", *dataclass_table(TransferRecord, records))
     lines = csv_path.read_text().splitlines()
     assert lines[0] == ("block_length,ser,ser_ci_low,ser_ci_high,"
                         "bler,bler_ci_low,bler_ci_high,blocks,seed,system_label")
     assert lines[1].startswith("2,0.0,0.0,") and lines[1].endswith("10,1,echo")
     json_path = tmp_path / "transfer.json"
-    transfer_to_json(records, str(json_path))
+    write_table(str(json_path), "json", *dataclass_table(TransferRecord, records))
     loaded = json.loads(json_path.read_text())
     assert loaded[0]["block_length"] == 2
     assert loaded[1]["bler"] == 0.0
