@@ -27,13 +27,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc
 
-from .channels import noise_variance
+from .channels import CHANNEL_KINDS, noise_variance
 from .curves import wilson_interval
 from .errors import ConfigError, DomainError, ShapeMismatchError
 
 log = logging.getLogger(__name__)
 
 _GRAY_PAM4 = {0b00: -3.0, 0b01: -1.0, 0b11: 1.0, 0b10: 3.0}
+
+CONSTELLATION_NAMES = ("qpsk", "16qam", "qam16")  # qam16 is another name for 16qam
 
 
 def qfunc(x):
@@ -66,10 +68,10 @@ class Constellation:
 
     @staticmethod
     def by_name(name: str) -> "Constellation":
-        table = {"qpsk": Constellation.qpsk, "16qam": Constellation.qam16, "qam16": Constellation.qam16}
-        if name not in table:
-            raise ConfigError(f"unknown constellation {name!r}, choose from {sorted(set(table))}")
-        return table[name]()
+        if name not in CONSTELLATION_NAMES:
+            raise ConfigError(
+                f"unknown constellation {name!r}, choose from {list(CONSTELLATION_NAMES)}")
+        return Constellation.qpsk() if name == "qpsk" else Constellation.qam16()
 
 
 def modulate(c: Constellation, bits: np.ndarray) -> np.ndarray:
@@ -156,7 +158,7 @@ def baseline_bler(c: Constellation, ebno_db: float, k: int, L: int, n_blocks: in
         raise ConfigError(
             f"block of {k * L} bits does not fill whole {c.name} symbols"
         )
-    if channel not in ("awgn", "rayleigh"):
+    if channel not in CHANNEL_KINDS:
         raise ConfigError(f"unknown channel {channel!r}")
 
     start = time.perf_counter()

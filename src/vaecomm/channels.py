@@ -5,10 +5,14 @@ per channel use): sigma^2 = 1 / (2 * R * 10^(ebno_db / 10)). Both channels
 pass gradients through to the input; fading coefficients and noise are
 treated as constants of the draw. Noise and fading are drawn in float64, so
 the streams do not depend on the signal's dtype, and rounded to it.
+
+An Eb/N0 of +inf is the noise-free channel; NaN and -inf are rejected,
+because they would make the noise itself NaN.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,8 +23,16 @@ from .tensor import Tensor, from_op
 CHANNEL_KINDS = ("awgn", "rayleigh")
 
 
+def check_ebno_db(ebno_db: float) -> float:
+    """Return ebno_db, or raise DomainError if it is NaN or -inf."""
+    if math.isnan(ebno_db) or ebno_db == -math.inf:
+        raise DomainError(f"Eb/N0 must be a number of dB or +inf, got {ebno_db}")
+    return ebno_db
+
+
 def noise_variance(ebno_db: float, code_rate: float) -> float:
     """Per-real-dimension noise variance at a given Eb/N0 in dB."""
+    check_ebno_db(ebno_db)
     if code_rate <= 0.0:
         raise DomainError(f"code_rate must be positive, got {code_rate}")
     return 1.0 / (2.0 * code_rate * 10.0 ** (ebno_db / 10.0))
@@ -44,6 +56,7 @@ class ChannelModel:
             raise ConfigError(f"unknown channel kind {self.kind!r}, choose from {CHANNEL_KINDS}")
         if self.code_rate <= 0.0:
             raise ConfigError(f"code_rate must be positive, got {self.code_rate}")
+        check_ebno_db(self.ebno_db)
         self._rng = np.random.default_rng(self.rng_seed & ((1 << 64) - 1))
 
     def noise_std(self) -> float:

@@ -6,6 +6,9 @@ Values load as float32, the system's dtype; the float32 values a system
 writes convert back exactly, and files that hold float64 values (written
 before the system switched to float32) load rounded to the nearest float32.
 
+Every malformed entry raises ``CheckpointError`` naming its field; so do
+weights and running statistics that are not all finite numbers.
+
 Version 2 stores the block length the system was trained at. Version 1
 files, which did not, still load, at the block length they always loaded
 with (``V1_BLOCK_LENGTH``), and warn that it was assumed.
@@ -50,6 +53,17 @@ def save_checkpoint(system: CommSystem, path: str) -> None:
         fh.write("\n")
 
 
+def _finite_values(value, field: str) -> np.ndarray:
+    """value as a float32 array; CheckpointError naming field unless it is all finite numbers."""
+    try:
+        array = np.asarray(value, dtype=SYSTEM_DTYPE)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise CheckpointError(f"field '{field}': not a list of numbers ({exc})") from None
+    if not np.isfinite(array).all():
+        raise CheckpointError(f"field '{field}': holds a null or non-finite value")
+    return array
+
+
 def load_checkpoint(path: str) -> CommSystem:
     if not os.path.exists(path):
         raise CheckpointError(f"checkpoint not found: {path}")
@@ -90,23 +104,23 @@ def load_checkpoint(path: str) -> CommSystem:
     seen = set()
     for entry in layer_docs:
         name = entry.get("name") if isinstance(entry, dict) else None
-        if name not in params:
+        if not isinstance(name, str) or name not in params:
             raise CheckpointError(f"field 'layers': unknown parameter {name!r}")
         if name in seen:
             raise CheckpointError(f"field 'layers': duplicate parameter {name!r}")
         seen.add(name)
         target = params[name]
-        shape = tuple(entry.get("shape", ()))
-        if shape != target.shape:
+        shape = entry.get("shape")
+        if not isinstance(shape, list) or tuple(shape) != target.shape:
             raise CheckpointError(
-                f"field 'layers[{name}].shape': expected {target.shape}, got {shape}"
+                f"field 'layers[{name}].shape': expected {list(target.shape)}, got {shape!r}"
             )
-        values = np.asarray(entry.get("values", []), dtype=SYSTEM_DTYPE)
+        values = _finite_values(entry.get("values", []), f"layers[{name}].values")
         if values.size != target.size:
             raise CheckpointError(
                 f"field 'layers[{name}].values': expected {target.size} values, got {values.size}"
             )
-        target.data = values.reshape(shape)
+        target.data = values.reshape(target.shape)
     absent = sorted(set(params) - seen)
     if absent:
         raise CheckpointError(f"field 'layers': missing parameters {absent}")
@@ -118,8 +132,8 @@ def load_checkpoint(path: str) -> CommSystem:
         entry = stats.get(name)
         if not isinstance(entry, dict) or "mean" not in entry or "var" not in entry:
             raise CheckpointError(f"field 'batchnorm_running_stats.{name}': needs 'mean' and 'var'")
-        mean = np.asarray(entry["mean"], dtype=SYSTEM_DTYPE)
-        var = np.asarray(entry["var"], dtype=SYSTEM_DTYPE)
+        mean = _finite_values(entry["mean"], f"batchnorm_running_stats.{name}.mean")
+        var = _finite_values(entry["var"], f"batchnorm_running_stats.{name}.var")
         if mean.shape != layer.running_mean.shape or var.shape != layer.running_var.shape:
             raise CheckpointError(f"field 'batchnorm_running_stats.{name}': wrong length")
         layer.running_mean = mean

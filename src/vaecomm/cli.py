@@ -1,10 +1,22 @@
 """Command line front end: train, sweep, baseline, transfer, gradcheck.
 
+Every option is declared once, as a field of ``RunConfig``: its flag is
+``--`` and the field name with '-' for '_', and the field's metadata holds
+its converter, its allowed values (the library's own constants), its help
+text and the commands that read it. The parser, the config-file reader and
+``--paper-scale`` all derive from those fields, and each command accepts
+only the flags it reads (no abbreviations), plus ``--config`` and, where it
+reads a value the preset sets, ``--paper-scale``.
+
 Values resolve in precedence order: explicit flag, then --paper-scale preset,
-then config file entry, then built-in default. Config files are flat
-``key = value`` lines mirroring the long flag names ('#' starts a comment).
-Every command is deterministic given its flags and seed: rerunning writes
-byte-identical files.
+then config file entry, then built-in default. The built-in defaults of the
+fields marked ``paper`` are the full-scale protocol's values, so the preset
+restores them over a config file. Config files are flat ``key = value``
+lines mirroring the long flag names ('#' starts a comment); every command
+accepts every key, so one file can serve ``train`` and ``sweep``, and a
+command ignores the keys it does not read. Flag and config-file text go
+through the same converter and choice check. Every command is deterministic
+given its flags and seed: rerunning writes byte-identical files.
 
 Exit codes: 0 success, 1 check failure, 2 usage error, 3 runtime or data error.
 
@@ -22,14 +34,21 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .baselines import BaselineResult, Constellation, analytic_ber, baseline_bler
+from .baselines import (
+    CONSTELLATION_NAMES,
+    BaselineResult,
+    Constellation,
+    analytic_ber,
+    baseline_bler,
+)
+from .channels import CHANNEL_KINDS
 from .checkpoint import load_checkpoint, save_checkpoint
 from .curves import FORMATS, BlerCurve, BlerPoint, dataclass_table, write_table
 from .data import generate_dataset
 from .errors import ConfigError, VaecommError
 from .evaluation import TransferRecord, block_length_transfer, evaluate_bler
 from .gradcheck import ComponentReport, run_all
-from .model import CommSystem, SystemConfig
+from .model import VALID_LATENT_MULTIPLIERS, CommSystem, SystemConfig
 from .seeding import derive_seed
 from .training import train
 
@@ -38,48 +57,9 @@ REFERENCE_PARAMETER_COUNT = 12824
 _DATASET_STREAM = 5
 _BASELINE_STREAM = 6
 
-_PAPER_PRESET = {
-    "L": 100,
-    "epochs": 150,
-    "batch": 64,
-    "lr": 0.01,
-    "beta": 1e-4,
-    "train_messages": 12800,
-    "test_messages": 64000,
-    "blocks": 64000,
-}
-
 
 class UsageError(Exception):
     """Bad command usage detected after argument parsing."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    k: int = 4
-    n: int = 2
-    latent_mult: int = 2
-    channel: str = "awgn"
-    filters: int = 256
-    beta: float = 1e-4
-    lr: float = 0.01
-    epochs: int = 150
-    batch: int = 64
-    L: int = 100
-    train_ebno_db: float = 6.0
-    train_messages: int = 12800
-    test_messages: int = 64000
-    ebno: tuple[float, ...] = tuple(float(v) for v in range(5, 16))
-    ebno_db: float = 8.0
-    blocks: int = 64000
-    lengths: tuple[int, ...] = (10, 50, 100)
-    seed: int = 0
-    constellation: str = "qpsk"
-    trials: int = 100
-    rel_tol: float = 1e-4
-    checkpoint: str | None = None
-    out: str | None = None
-    format: str = "csv"
 
 
 def parse_sweep(text: str) -> tuple[float, ...]:
@@ -91,6 +71,8 @@ def parse_sweep(text: str) -> tuple[float, ...]:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise ValueError(f"sweep spec has non-numeric part: {text!r}") from None
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise ValueError(f"sweep spec has a non-finite part: {text!r}")
     if step <= 0:
         raise ValueError(f"sweep step must be > 0, got {step}")
     if start > stop:
@@ -112,27 +94,81 @@ def parse_lengths(text: str) -> tuple[int, ...]:
     return lengths
 
 
-def _flag_type(parser_fn):
+def _option(default, commands: str, help: str, *, convert=None, choices=None, paper=False):
+    """A RunConfig field with its flag's converter (default: the type of the
+    default, str where that is None), allowed values, help text and the
+    space-separated commands that read it; paper marks a full-scale value."""
+    if convert is None:
+        convert = str if default is None else type(default)
+    return dataclasses.field(default=default, metadata={
+        "commands": commands.split(), "help": help, "convert": convert,
+        "choices": choices, "paper": paper})
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Every value a command reads; each field declares its own flag."""
+
+    k: int = _option(4, "train sweep baseline transfer", "bits per symbol (alphabet 2^k)")
+    n: int = _option(2, "train sweep transfer", "channel uses per symbol")
+    latent_mult: int = _option(2, "train sweep transfer", "latent dimension multiplier",
+                               choices=VALID_LATENT_MULTIPLIERS)
+    channel: str = _option("awgn", "train sweep baseline transfer", "channel model",
+                           choices=CHANNEL_KINDS)
+    filters: int = _option(256, "train sweep transfer", "hidden conv channels")
+    beta: float = _option(1e-4, "train", "KL weight in the loss", paper=True)
+    lr: float = _option(0.01, "train", "Adam learning rate", paper=True)
+    epochs: int = _option(150, "train", "training epochs", paper=True)
+    batch: int = _option(64, "train", "minibatch size", paper=True)
+    L: int = _option(100, "train sweep baseline", "block length in symbols", paper=True)
+    train_ebno_db: float = _option(6.0, "train", "training Eb/N0 in dB")
+    train_messages: int = _option(12800, "train", "training messages to generate", paper=True)
+    test_messages: int = _option(64000, "train", "held-back test messages to generate",
+                                 paper=True)
+    ebno: tuple[float, ...] = _option(tuple(float(v) for v in range(5, 16)), "sweep baseline",
+                                      "Eb/N0 sweep as start:stop:step (inclusive)",
+                                      convert=parse_sweep)
+    ebno_db: float = _option(8.0, "transfer", "single evaluation Eb/N0 in dB")
+    blocks: int = _option(64000, "sweep baseline transfer", "blocks per evaluation point",
+                          paper=True)
+    lengths: tuple[int, ...] = _option((10, 50, 100), "transfer", "comma-separated block lengths",
+                                       convert=parse_lengths)
+    seed: int = _option(0, "train sweep baseline transfer gradcheck", "random seed")
+    constellation: str = _option("qpsk", "baseline", "baseline constellation",
+                                 choices=CONSTELLATION_NAMES)
+    trials: int = _option(100, "gradcheck", "random configurations per component")
+    rel_tol: float = _option(1e-4, "gradcheck", "max allowed relative gradient error")
+    checkpoint: str | None = _option(None, "sweep transfer", "trained model JSON")
+    out: str | None = _option(None, "train sweep baseline transfer gradcheck", "output file path")
+    format: str = _option("csv", "train sweep baseline transfer", "result file format",
+                          choices=FORMATS)
+
+
+_OPTIONS = {option.name: option for option in dataclasses.fields(RunConfig)}
+_PAPER = [option for option in _OPTIONS.values() if option.metadata["paper"]]
+
+# RunConfig field -> SystemConfig field for the values that fix a checkpoint's
+# architecture; sweep and transfer check any of them that was set.
+_ARCHITECTURE = {"k": "k", "n": "n", "latent_mult": "latent_multiplier",
+                 "channel": "channel_kind", "filters": "hidden_filters"}
+
+
+def _convert(option: dataclasses.Field, text: str):
+    """A flag's or a config-file entry's text as the option's value."""
+    value = option.metadata["convert"](text)
+    choices = option.metadata["choices"]
+    if choices is not None and value not in choices:
+        raise ValueError(f"must be one of {list(choices)}, got {value!r}")
+    return value
+
+
+def _flag_type(option: dataclasses.Field):
     def convert(text):
         try:
-            return parser_fn(text)
+            return _convert(option, text)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
     return convert
-
-
-def _parse_format(text: str) -> str:
-    if text not in FORMATS:
-        raise ValueError(f"format must be one of {list(FORMATS)}, got {text!r}")
-    return text
-
-
-# Config-file converters: the type of each RunConfig default (str for paths
-# that default to None), except where the text has a syntax of its own.
-_CONVERTERS = {
-    field.name: str if field.default is None else type(field.default)
-    for field in dataclasses.fields(RunConfig)
-} | {"ebno": parse_sweep, "lengths": parse_lengths, "format": _parse_format}
 
 
 def read_config_file(path: str) -> dict:
@@ -151,11 +187,10 @@ def read_config_file(path: str) -> dict:
         if not sep:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key = key.strip().replace("-", "_")
-        text = text.strip()
-        if key not in _CONVERTERS:
+        if key not in _OPTIONS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            values[key] = _CONVERTERS[key](text)
+            values[key] = _convert(_OPTIONS[key], text.strip())
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
     return values
@@ -166,41 +201,14 @@ def merge_config(args: argparse.Namespace, file_values: dict) -> tuple[RunConfig
     kwargs = {}
     explicit = set(file_values)
     paper_scale = getattr(args, "paper_scale", False)
-    for field in dataclasses.fields(RunConfig):
-        name = field.name
+    for name, option in _OPTIONS.items():
         flag_value = getattr(args, name, None)
         if flag_value is not None:
             kwargs[name] = flag_value
             explicit.add(name)
-        elif paper_scale and name in _PAPER_PRESET:
-            kwargs[name] = _PAPER_PRESET[name]
-        elif name in file_values:
+        elif name in file_values and not (paper_scale and option.metadata["paper"]):
             kwargs[name] = file_values[name]
     return RunConfig(**kwargs), frozenset(explicit)
-
-
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--k", type=int, help="bits per symbol (alphabet 2^k)")
-    sub.add_argument("--n", type=int, help="channel uses per symbol")
-    sub.add_argument("--latent-mult", dest="latent_mult", type=int, choices=(2, 4),
-                     help="latent dimension multiplier")
-    sub.add_argument("--channel", choices=("awgn", "rayleigh"))
-    sub.add_argument("--filters", type=int, help="hidden conv channels")
-    sub.add_argument("--beta", type=float, help="KL weight in the loss")
-    sub.add_argument("--lr", type=float, help="Adam learning rate")
-    sub.add_argument("--epochs", type=int)
-    sub.add_argument("--batch", type=int, help="minibatch size")
-    sub.add_argument("--L", type=int, help="block length in symbols")
-    sub.add_argument("--train-ebno-db", dest="train_ebno_db", type=float)
-    sub.add_argument("--ebno", type=_flag_type(parse_sweep),
-                     help="Eb/N0 sweep as start:stop:step (inclusive)")
-    sub.add_argument("--blocks", type=int, help="blocks per evaluation point")
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--config", help="flat key=value config file")
-    sub.add_argument("--out", help="output file path")
-    sub.add_argument("--format", choices=FORMATS)
-    sub.add_argument("--paper-scale", action="store_true",
-                     help="preset: L=100, 12800/64000 messages, 150 epochs")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -209,51 +217,29 @@ def build_parser() -> argparse.ArgumentParser:
         description="Learned end-to-end communication: training and benchmarks.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    p_train = commands.add_parser("train", help="train a system and write a checkpoint")
-    _add_common_flags(p_train)
-    p_train.add_argument("--train-messages", dest="train_messages", type=int,
-                         help="training messages to generate")
-    p_train.add_argument("--test-messages", dest="test_messages", type=int,
-                         help="held-back test messages to generate")
-
-    p_sweep = commands.add_parser("sweep", help="evaluate a checkpoint across Eb/N0")
-    _add_common_flags(p_sweep)
-    p_sweep.add_argument("--checkpoint", help="trained model JSON")
-
-    p_base = commands.add_parser("baseline", help="Monte Carlo baseline curves")
-    _add_common_flags(p_base)
-    p_base.add_argument("--constellation", choices=("qpsk", "qam16", "16qam"))
-
-    p_transfer = commands.add_parser("transfer",
-                                     help="evaluate one checkpoint at several block lengths")
-    _add_common_flags(p_transfer)
-    p_transfer.add_argument("--checkpoint", help="trained model JSON")
-    p_transfer.add_argument("--lengths", type=_flag_type(parse_lengths),
-                            help="comma-separated block lengths")
-    p_transfer.add_argument("--ebno-db", dest="ebno_db", type=float,
-                            help="single evaluation Eb/N0")
-
-    p_grad = commands.add_parser("gradcheck", help="finite-difference gradient audit")
-    _add_common_flags(p_grad)
-    p_grad.add_argument("--trials", type=int, help="random configurations per component")
-    p_grad.add_argument("--rel-tol", dest="rel_tol", type=float,
-                        help="max allowed relative gradient error")
-
+    for command, (_, help_text, _) in _COMMANDS.items():
+        sub = commands.add_parser(command, help=help_text, allow_abbrev=False)
+        for name, option in _OPTIONS.items():
+            if command not in option.metadata["commands"]:
+                continue
+            choices = option.metadata["choices"]
+            sub.add_argument("--" + name.replace("_", "-"), type=_flag_type(option),
+                             metavar="{%s}" % ",".join(map(str, choices)) if choices else None,
+                             help=option.metadata["help"])
+        sub.add_argument("--config", help="flat key=value config file")
+        preset = [option for option in _PAPER if command in option.metadata["commands"]]
+        if preset:
+            sub.add_argument("--paper-scale", action="store_true", help="preset: " + ", ".join(
+                f"{option.name}={option.default}" for option in preset))
     return parser
 
 
 def _system_config(cfg: RunConfig) -> SystemConfig:
-    return SystemConfig(
-        k=cfg.k, n=cfg.n, latent_multiplier=cfg.latent_mult,
-        hidden_filters=cfg.filters, beta=cfg.beta, channel_kind=cfg.channel,
-        block_length=cfg.L, seed=cfg.seed,
-    )
+    return SystemConfig(**{system: getattr(cfg, name) for name, system in _ARCHITECTURE.items()},
+                        beta=cfg.beta, block_length=cfg.L, seed=cfg.seed)
 
 
 def cmd_train(cfg: RunConfig, explicit: frozenset) -> int:
-    if not cfg.out:
-        raise UsageError("train requires --out PATH for the checkpoint")
     system = CommSystem(_system_config(cfg))
     print(f"parameters: {system.parameter_count()} "
           f"(reference count: {REFERENCE_PARAMETER_COUNT})")
@@ -278,15 +264,8 @@ def _load_for_eval(cfg: RunConfig, explicit: frozenset) -> CommSystem:
     if not cfg.checkpoint:
         raise UsageError("this command requires --checkpoint PATH")
     system = load_checkpoint(cfg.checkpoint)
-    actual = system.config
-    requested = {
-        "k": (cfg.k, actual.k),
-        "n": (cfg.n, actual.n),
-        "latent_mult": (cfg.latent_mult, actual.latent_multiplier),
-        "channel": (cfg.channel, actual.channel_kind),
-        "filters": (cfg.filters, actual.hidden_filters),
-    }
-    for name, (wanted, found) in requested.items():
+    for name, system_name in _ARCHITECTURE.items():
+        wanted, found = getattr(cfg, name), getattr(system.config, system_name)
         if name in explicit and wanted != found:
             raise ConfigError(
                 f"checkpoint {cfg.checkpoint} has {name}={found}, "
@@ -296,8 +275,6 @@ def _load_for_eval(cfg: RunConfig, explicit: frozenset) -> CommSystem:
 
 
 def cmd_sweep(cfg: RunConfig, explicit: frozenset) -> int:
-    if not cfg.out:
-        raise UsageError("sweep requires --out PATH for the curve file")
     system = _load_for_eval(cfg, explicit)
     length = cfg.L if "L" in explicit else system.config.block_length
     curve = evaluate_bler(system, cfg.ebno, cfg.blocks, cfg.seed,
@@ -308,8 +285,6 @@ def cmd_sweep(cfg: RunConfig, explicit: frozenset) -> int:
 
 
 def cmd_baseline(cfg: RunConfig, explicit: frozenset) -> int:
-    if not cfg.out:
-        raise UsageError("baseline requires --out PATH for the curve file")
     constellation = Constellation.by_name(cfg.constellation)
     label = f"{constellation.name}_{cfg.channel}"
     points = []
@@ -330,8 +305,6 @@ def cmd_baseline(cfg: RunConfig, explicit: frozenset) -> int:
 
 
 def cmd_transfer(cfg: RunConfig, explicit: frozenset) -> int:
-    if not cfg.out:
-        raise UsageError("transfer requires --out PATH for the results file")
     system = _load_for_eval(cfg, explicit)
     records = block_length_transfer(system, cfg.lengths, cfg.ebno_db,
                                     blocks_per_length=cfg.blocks, seed=cfg.seed)
@@ -355,12 +328,14 @@ def cmd_gradcheck(cfg: RunConfig, explicit: frozenset) -> int:
     return 0
 
 
-_DISPATCH = {
-    "train": cmd_train,
-    "sweep": cmd_sweep,
-    "baseline": cmd_baseline,
-    "transfer": cmd_transfer,
-    "gradcheck": cmd_gradcheck,
+# command -> (function, help text, what its required --out file holds)
+_COMMANDS = {
+    "train": (cmd_train, "train a system and write a checkpoint", "the checkpoint"),
+    "sweep": (cmd_sweep, "evaluate a checkpoint across Eb/N0", "the curve file"),
+    "baseline": (cmd_baseline, "Monte Carlo baseline curves", "the curve file"),
+    "transfer": (cmd_transfer, "evaluate one checkpoint at several block lengths",
+                 "the results file"),
+    "gradcheck": (cmd_gradcheck, "finite-difference gradient audit", None),
 }
 
 
@@ -370,10 +345,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    run, _, out_file = _COMMANDS[args.command]
     try:
         file_values = read_config_file(args.config) if args.config else {}
         cfg, explicit = merge_config(args, file_values)
-        return _DISPATCH[args.command](cfg, explicit)
+        if out_file and not cfg.out:
+            raise UsageError(f"{args.command} requires --out PATH for {out_file}")
+        return run(cfg, explicit)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelModel
+from .channels import ChannelModel, check_ebno_db
 from .curves import BlerCurve, BlerPoint, wilson_interval
 from .errors import ConfigError, DomainError
 from .seeding import derive_seed
@@ -169,7 +169,7 @@ def evaluate_bler(system, ebno_points, blocks_per_point: int, seed: int, *,
     from (seed, point, chunk index), so counts are identical for any worker
     count or scheduling order, but changing chunk_blocks redraws the data.
     """
-    points = [float(p) for p in ebno_points]
+    points = [check_ebno_db(float(p)) for p in ebno_points]
     if not points:
         raise DomainError("ebno_points must not be empty")
     if any(b <= a for a, b in zip(points, points[1:])):
@@ -212,10 +212,11 @@ def block_length_transfer(system, lengths, ebno_db: float, blocks_per_length: in
         raise DomainError(f"block lengths must be >= 1, got {sizes}")
     if blocks_per_length < 1:
         raise DomainError(f"blocks_per_length must be >= 1, got {blocks_per_length}")
+    ebno_db = check_ebno_db(float(ebno_db))
     name = default_label(system) if label is None else label
 
     counts = _measure(system, "block_length_transfer", "length",
-                      [(float(ebno_db), length, f"L={length}") for length in sizes],
+                      [(ebno_db, length, f"L={length}") for length in sizes],
                       blocks_per_length, seed, chunk_blocks, workers)
     records = []
     for length, (block_errors, symbol_errors) in zip(sizes, counts):

@@ -189,6 +189,12 @@ def test_baseline_rejects_partial_symbols():
         baseline_bler(Constellation.qpsk(), 8.0, k=0, L=10, n_blocks=10, seed=0)
 
 
+@pytest.mark.parametrize("ebno_db", [math.nan, -math.inf])
+def test_baseline_rejects_nan_and_minus_inf_ebno(ebno_db):
+    with pytest.raises(DomainError, match="Eb/N0"):
+        baseline_bler(Constellation.qpsk(), ebno_db, k=2, L=4, n_blocks=10, seed=0)
+
+
 # -- intervals and serialization ------------------------------------------------------------
 
 

@@ -39,6 +39,14 @@ def test_noise_variance_rejects_bad_rate():
         noise_variance(10.0, -1.0)
 
 
+@pytest.mark.parametrize("ebno_db", [math.nan, -math.inf])
+def test_nan_and_minus_inf_ebno_are_rejected(ebno_db):
+    with pytest.raises(DomainError, match="Eb/N0"):
+        noise_variance(ebno_db, 2.0)
+    with pytest.raises(DomainError, match="Eb/N0"):
+        ChannelModel("awgn", ebno_db, 2.0, rng_seed=0)
+
+
 # -- AWGN ------------------------------------------------------------------------
 
 

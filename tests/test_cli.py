@@ -1,7 +1,10 @@
 """Command line behavior: parsing, precedence, exit codes, file outputs."""
 
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +16,7 @@ import vaecomm
 import vaecomm.gradcheck as gradcheck
 from vaecomm.cli import (
     RunConfig,
+    build_parser,
     main,
     merge_config,
     parse_lengths,
@@ -46,6 +50,14 @@ def test_parse_sweep_rejects_bad_specs():
     for bad in ("5:15", "5:15:0", "15:5:1", "a:b:c", "1:2:-1"):
         with pytest.raises(ValueError):
             parse_sweep(bad)
+
+
+def test_parse_sweep_rejects_non_finite_parts(capsys):
+    for bad in ("-inf:5:1", "5:inf:1", "nan:5:1", "5:6:inf"):
+        with pytest.raises(ValueError, match="non-finite"):
+            parse_sweep(bad)
+    assert main(["baseline", "--ebno=-inf:5:1", "--out", "b.csv"]) == 2
+    assert "non-finite" in capsys.readouterr().err
 
 
 def test_parse_lengths():
@@ -399,3 +411,78 @@ def test_the_program_logs_training_progress_to_stderr(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "vaecomm.training: epoch 1: " in proc.stderr
     assert "batches clipped" not in proc.stdout
+
+
+# ------------------------------------------------------ flags per command
+
+COMMAND_FLAGS = {
+    "train": "k n latent-mult channel filters beta lr epochs batch L train-ebno-db seed "
+             "train-messages test-messages out format config paper-scale",
+    "sweep": "checkpoint k n latent-mult channel filters L ebno blocks seed out format "
+             "config paper-scale",
+    "baseline": "constellation channel k L ebno blocks seed out format config paper-scale",
+    "transfer": "checkpoint k n latent-mult channel filters lengths ebno-db blocks seed out "
+                "format config paper-scale",
+    "gradcheck": "trials rel-tol seed out config",
+}
+
+
+def help_flags(command):
+    """The long flags, --help aside, that ``vaecomm <command> --help`` lists."""
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text), pytest.raises(SystemExit):
+        build_parser().parse_args([command, "--help"])
+    return set(re.findall(r"^\s+(--[\w-]+)", text.getvalue(), re.MULTILINE))
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_each_command_lists_exactly_the_flags_it_reads(command):
+    expected = {f"--{name}" for name in COMMAND_FLAGS[command].split()}
+    assert help_flags(command) == expected
+
+
+def test_readme_flag_table_matches_the_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `(\w+)` \|(.*)\|$", readme, re.MULTILINE)
+    documented = {command: set(re.findall(r"--[\w-]+", flags)) for command, flags in rows}
+    assert documented == {command: help_flags(command) for command in COMMAND_FLAGS}
+
+
+@pytest.mark.parametrize("argv", [
+    ["transfer", "--checkpoint", "m.json", "--ebno", "4:4:1", "--out", "t.csv"],
+    ["transfer", "--checkpoint", "m.json", "--ebno", "6", "--out", "t.csv"],  # not --ebno-db
+    ["gradcheck", "--format", "csv", "--out", "r.csv"],
+    ["baseline", "--n", "1", "--out", "b.csv"],
+    ["sweep", "--checkpoint", "m.json", "--lr", "0.1", "--out", "c.csv"],
+    ["gradcheck", "--paper-scale"],
+])
+def test_a_flag_the_command_does_not_read_is_a_usage_error(argv, capsys):
+    assert main(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_config_keys_the_command_does_not_read_are_accepted(tmp_path, capsys):
+    cfg_file = tmp_path / "shared.cfg"
+    cfg_file.write_text("k = 2\nn = 1\nlr = 0.5\nepochs = 3\ntrials = 4\n"
+                        "lengths = 5,10\ncheckpoint = m.json\nL = 4\nblocks = 20\n")
+    out = tmp_path / "b.csv"
+    code = main(["baseline", "--config", str(cfg_file), "--ebno", "4:6:2", "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    assert len(out.read_text().splitlines()) == 3
+
+
+def test_nan_transfer_ebno_is_a_runtime_error(tmp_path, capsys):
+    _, ckpt = run_train(tmp_path)
+    out = tmp_path / "t.csv"
+    code = main(["transfer", "--checkpoint", str(ckpt), "--lengths", "2",
+                 "--ebno-db", "nan", "--blocks", "4", "--out", str(out)])
+    assert code == 3
+    assert "Eb/N0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gradcheck_with_no_trials_is_a_runtime_error(capsys):
+    assert main(["gradcheck", "--trials", "0"]) == 3
+    captured = capsys.readouterr()
+    assert "trials" in captured.err and "passed" not in captured.out

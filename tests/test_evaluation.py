@@ -340,6 +340,9 @@ def test_rejects_bad_sweep_arguments():
         evaluate_bler(system, [5.0], blocks_per_point=10, seed=0, chunk_blocks=0)
     with pytest.raises(DomainError):
         evaluate_bler(system, [5.0], blocks_per_point=10, seed=0, block_length=0)
+    for bad in (float("nan"), float("-inf")):
+        with pytest.raises(DomainError, match="Eb/N0"):
+            evaluate_bler(system, [5.0, bad], blocks_per_point=10, seed=0)
 
 
 def test_worker_count_resolution(monkeypatch):
@@ -425,6 +428,9 @@ def test_transfer_rejects_bad_arguments():
         block_length_transfer(system, [5], 5.0, blocks_per_length=0, seed=0)
     with pytest.raises(DomainError):
         block_length_transfer(system, [5], 5.0, blocks_per_length=10, seed=0, chunk_blocks=0)
+    for bad in (float("nan"), float("-inf")):
+        with pytest.raises(DomainError, match="Eb/N0"):
+            block_length_transfer(system, [5], bad, blocks_per_length=10, seed=0)
     system.train_mode()
     with pytest.raises(ConfigError):
         block_length_transfer(system, [5], 5.0, blocks_per_length=10, seed=0)

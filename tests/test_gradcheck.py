@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import vaecomm.gradcheck as gradcheck
+from vaecomm.errors import DomainError
 from vaecomm.gradcheck import component_names, run_all, run_component
 from vaecomm.tensor import from_op
 
@@ -35,6 +36,13 @@ def test_reports_are_deterministic():
 def test_unknown_component_is_rejected():
     with pytest.raises(KeyError, match="unknown component"):
         run_component("does_not_exist", trials=1)
+
+
+def test_fewer_than_one_trial_is_rejected():
+    with pytest.raises(DomainError, match="trials"):
+        run_component("softmax", trials=0)
+    with pytest.raises(DomainError, match="trials"):
+        run_all(trials=-1)
 
 
 def test_too_strict_tolerance_fails():

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -365,6 +366,31 @@ def test_checkpoint_error_names_offending_field(tmp_path):
     q.write_text(json.dumps(broken))
     with pytest.raises(CheckpointError, match="missing"):
         load_checkpoint(str(q))
+
+
+@pytest.mark.parametrize("path, value, field", [
+    (("layers", 0, "shape"), 5, "shape"),
+    (("layers", 0, "shape"), None, "shape"),
+    (("layers", 0, "values", 0), "a", "values"),
+    (("layers", 0, "values", 0), None, "values"),
+    (("layers", 0, "values", 0), float("nan"), "values"),
+    (("layers", 0, "values", 0), float("inf"), "values"),
+    (("layers", 0, "values"), {"a": 1}, "values"),
+    (("batchnorm_running_stats", "tx_bn", "mean"), "x", "tx_bn.mean"),
+    (("batchnorm_running_stats", "rx_bn", "var", 0), None, "rx_bn.var"),
+    (("layers", 0, "name"), ["x"], "layers"),
+])
+def test_malformed_checkpoint_entries_raise_checkpoint_error(tmp_path, path, value, field):
+    saved = tmp_path / "m.json"
+    save_checkpoint(CommSystem(desk_config()), str(saved))
+    doc = json.loads(saved.read_text())
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    saved.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError, match=re.escape(field)):
+        load_checkpoint(str(saved))
 
 
 @settings(max_examples=25, deadline=None)
