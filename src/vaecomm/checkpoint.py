@@ -32,6 +32,7 @@ FORMAT_VERSION = 2
 V1_BLOCK_LENGTH = 100
 
 _CONFIG_FIELDS = tuple(f.name for f in dataclasses.fields(SystemConfig))
+_NUMBER_TYPES = {int, float}  # what json.load returns for a number; bool is not one
 
 
 def save_checkpoint(system: CommSystem, path: str) -> None:
@@ -54,13 +55,17 @@ def save_checkpoint(system: CommSystem, path: str) -> None:
 
 
 def _finite_values(value, field: str) -> np.ndarray:
-    """value as a float32 array; CheckpointError naming field unless it is all finite numbers."""
+    """value as a float32 array; CheckpointError naming field unless it is a
+    list of finite JSON numbers. Strings and booleans, which numpy would
+    convert, are refused by their type."""
+    if not isinstance(value, list) or not set(map(type, value)) <= _NUMBER_TYPES:
+        raise CheckpointError(f"field '{field}': not a list of numbers")
     try:
-        array = np.asarray(value, dtype=SYSTEM_DTYPE)
-    except (TypeError, ValueError, OverflowError) as exc:
+        array = np.fromiter(value, dtype=SYSTEM_DTYPE, count=len(value))
+    except OverflowError as exc:
         raise CheckpointError(f"field '{field}': not a list of numbers ({exc})") from None
     if not np.isfinite(array).all():
-        raise CheckpointError(f"field '{field}': holds a null or non-finite value")
+        raise CheckpointError(f"field '{field}': holds a non-finite value")
     return array
 
 

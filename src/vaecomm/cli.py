@@ -197,18 +197,17 @@ def read_config_file(path: str) -> dict:
 
 
 def merge_config(args: argparse.Namespace, file_values: dict) -> tuple[RunConfig, frozenset]:
-    """Resolve flag > paper preset > config file > default; track what was set."""
+    """Resolve flag > paper preset > config file > default; track which flag
+    or config-file values were used (a preset overrides a file's value)."""
     kwargs = {}
-    explicit = set(file_values)
     paper_scale = getattr(args, "paper_scale", False)
     for name, option in _OPTIONS.items():
         flag_value = getattr(args, name, None)
         if flag_value is not None:
             kwargs[name] = flag_value
-            explicit.add(name)
         elif name in file_values and not (paper_scale and option.metadata["paper"]):
             kwargs[name] = file_values[name]
-    return RunConfig(**kwargs), frozenset(explicit)
+    return RunConfig(**kwargs), frozenset(kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -127,7 +127,7 @@ def test_merge_precedence_flag_over_preset_over_file():
     assert cfg.epochs == 7          # flag beats preset
     assert cfg.lr == 0.01           # preset beats file
     assert cfg.k == 4               # untouched default
-    assert "epochs" in explicit and "lr" in explicit
+    assert "epochs" in explicit and "lr" not in explicit  # the file's lr was not used
     cfg2, _ = merge_config(_Namespace(paper_scale=False), file_values)
     assert cfg2.epochs == 3 and cfg2.lr == 0.5
     assert RunConfig().L == 100 and RunConfig().epochs == 150
@@ -252,14 +252,18 @@ def test_sweep_row_count_and_determinism(tmp_path, capsys):
 
 def test_sweep_defaults_to_the_checkpoint_block_length(tmp_path, capsys):
     _, ckpt = run_train(tmp_path, extra=("--L", "10"))
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("L = 3\n")  # overridden by the preset, so not a choice of L
     curves = {}
-    for name, extra in (("stored", ()), ("explicit", ("--L", "10"))):
+    for name, extra in (("stored", ()), ("explicit", ("--L", "10")),
+                        ("preset_over_file", ("--paper-scale", "--config", str(cfg_file)))):
         curves[name] = tmp_path / f"{name}.csv"
         code = main(["sweep", "--checkpoint", str(ckpt), "--ebno", "0:2:1", "--blocks", "8",
                      "--seed", "4", "--out", str(curves[name]), *extra])
         assert code == 0
     capsys.readouterr()
     assert curves["stored"].read_bytes() == curves["explicit"].read_bytes()
+    assert curves["stored"].read_bytes() == curves["preset_over_file"].read_bytes()
     rows = curves["stored"].read_text().splitlines()
     assert all(row.split(",")[6] == "10" for row in rows[1:])  # the block_length column
 

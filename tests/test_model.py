@@ -219,6 +219,26 @@ def test_end_to_end_breakdown_consistent():
     assert bd.kl_term >= 0.0
 
 
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 8), n=st.integers(1, 4), m=st.sampled_from([2, 4]),
+       filters=st.integers(1, 32), kind=st.sampled_from(["awgn", "rayleigh"]),
+       length=st.integers(1, 12), batch=st.integers(2, 4), seed=st.integers(0, 2**16))
+def test_end_to_end_shapes_and_gradients_over_configs(k, n, m, filters, kind, length, batch,
+                                                      seed):
+    cfg = SystemConfig(k=k, n=n, latent_multiplier=m, hidden_filters=filters,
+                       channel_kind=kind, block_length=length, seed=seed)
+    sys_ = CommSystem(cfg).train_mode()
+    ch = ChannelModel(kind, 6.0, cfg.code_rate, rng_seed=seed)
+    res = sys_.end_to_end(onehot_batch(cfg, np.random.default_rng(seed), batch), ch)
+    res.loss.backward()
+    for name, p in sys_.named_parameters():
+        assert p.grad is not None, name
+        assert p.grad.dtype == np.float32 and p.grad.shape == p.shape, name
+        assert np.isfinite(p.grad).all(), name
+    assert res.signal.shape == (batch, length, m * n)
+    assert_close_f32((res.signal.data.astype(np.float64) ** 2).mean(axis=(1, 2)), 1.0)
+
+
 def test_trace_names_every_stage():
     cfg = desk_config()
     sys_ = CommSystem(cfg).eval_mode()
@@ -379,6 +399,10 @@ def test_checkpoint_error_names_offending_field(tmp_path):
     (("batchnorm_running_stats", "tx_bn", "mean"), "x", "tx_bn.mean"),
     (("batchnorm_running_stats", "rx_bn", "var", 0), None, "rx_bn.var"),
     (("layers", 0, "name"), ["x"], "layers"),
+    (("layers", 0, "values", 0), "1.5", "values"),
+    (("layers", 0, "values", 0), True, "values"),
+    (("batchnorm_running_stats", "tx_bn", "mean", 0), True, "tx_bn.mean"),
+    (("batchnorm_running_stats", "rx_bn", "var", 0), "1.5", "rx_bn.var"),
 ])
 def test_malformed_checkpoint_entries_raise_checkpoint_error(tmp_path, path, value, field):
     saved = tmp_path / "m.json"
