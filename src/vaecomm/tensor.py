@@ -41,7 +41,8 @@ def _keep_freed_heap_pages() -> None:
     A train step's float32 temporaries (640 x 256 x 4 B = 655 KB at the desk
     config) are larger than glibc's starting mmap threshold (128 KiB), so each
     one got its own mapping, zero-filled page by page by the kernel and
-    unmapped again when freed: about 489,000 minor page faults per desk epoch.
+    unmapped again when freed: 355,000-603,000 minor page faults per desk
+    epoch in a fresh process.
     Serving every request below 32 MiB from the heap (glibc's own ceiling for
     its dynamic threshold, so larger buffers still get their own mapping and
     go back to the OS when freed) and trimming the heap only past 1 GiB free
