@@ -6,7 +6,6 @@ from .baselines import (
     analytic_ber,
     analytic_ser,
     baseline_bler,
-    bler_from_ser,
 )
 from .channels import ChannelModel, noise_variance
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -28,7 +27,6 @@ from .losses import (
     LossBreakdown,
     beta_vae_loss,
     kl_standard_normal,
-    monte_carlo_expectation,
     softmax_binary_cross_entropy,
 )
 from .model import CommSystem, EndToEndResult, SystemConfig
@@ -68,7 +66,6 @@ __all__ = [
     "analytic_ser",
     "baseline_bler",
     "beta_vae_loss",
-    "bler_from_ser",
     "block_length_transfer",
     "derive_seed",
     "evaluate_bler",
@@ -76,7 +73,6 @@ __all__ = [
     "generate_dataset",
     "kl_standard_normal",
     "load_checkpoint",
-    "monte_carlo_expectation",
     "no_grad",
     "noise_variance",
     "one_hot",

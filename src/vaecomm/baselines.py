@@ -123,11 +123,6 @@ def analytic_ser(c: Constellation, ebno_db) -> float | np.ndarray:
     return float(out) if np.ndim(out) == 0 else out
 
 
-def bler_from_ser(ser: float, L: int) -> float:
-    """Block error rate for L independent symbol decisions."""
-    return 1.0 - (1.0 - ser) ** L
-
-
 @dataclass(frozen=True)
 class BaselineResult:
     bler: float
@@ -154,6 +149,8 @@ def baseline_bler(c: Constellation, ebno_db: float, k: int, L: int, n_blocks: in
     """
     if k < 1 or L < 1 or n_blocks < 1:
         raise DomainError(f"k, L, n_blocks must be positive, got {k}, {L}, {n_blocks}")
+    if chunk_blocks < 1:
+        raise DomainError(f"chunk_blocks must be >= 1, got {chunk_blocks}")
     if (k * L) % c.bits_per_symbol != 0:
         raise ConfigError(
             f"block of {k * L} bits does not fill whole {c.name} symbols"

@@ -44,12 +44,13 @@ def dataclass_table(cls, records) -> tuple[tuple[str, ...], list[tuple]]:
     return tuple(f.name for f in fields(cls)), [astuple(r) for r in records]
 
 
-def wilson_interval(successes: int, trials: int, z: float = Z_95) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% binomial confidence interval; well behaved at 0 and n successes."""
     if trials <= 0:
         raise DomainError(f"trials must be positive, got {trials}")
     if not 0 <= successes <= trials:
         raise DomainError(f"successes {successes} outside [0, {trials}]")
+    z = Z_95
     p = successes / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom

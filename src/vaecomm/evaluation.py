@@ -160,8 +160,9 @@ def default_label(system) -> str:
 
 def evaluate_bler(system, ebno_points, blocks_per_point: int, seed: int, *,
                   block_length: int | None = None, chunk_blocks: int = 256,
-                  label: str | None = None, workers: int | None = None) -> BlerCurve:
+                  workers: int | None = None) -> BlerCurve:
     """Measure BLER/SER at each Eb/N0 point with the system's own channel kind.
+    Every point is labelled ``default_label(system)``.
 
     The system must be in eval mode; measurement through batch statistics or
     sampled latents would not reflect deployment behavior. chunk_blocks is
@@ -179,7 +180,6 @@ def evaluate_bler(system, ebno_points, blocks_per_point: int, seed: int, *,
     length = system.config.block_length if block_length is None else block_length
     if length < 1:
         raise DomainError(f"block_length must be >= 1, got {length}")
-    name = default_label(system) if label is None else label
 
     counts = _measure(system, "evaluate_bler", "point",
                       [(ebno, length, f"Eb/N0 {ebno} dB") for ebno in points],
@@ -196,24 +196,30 @@ def evaluate_bler(system, ebno_points, blocks_per_point: int, seed: int, *,
             blocks=blocks_per_point,
             block_length=length,
             seed=seed,
-            system_label=name,
+            system_label=default_label(system),
         ))
     return BlerCurve(points=curve_points)
 
 
 def block_length_transfer(system, lengths, ebno_db: float, blocks_per_length: int,
-                          seed: int, *, chunk_blocks: int = 256, label: str | None = None,
+                          seed: int, *, chunk_blocks: int = 256,
                           workers: int | None = None) -> list[TransferRecord]:
-    """Evaluate one trained system at several block lengths without retraining."""
-    sizes = [int(n) for n in lengths]
+    """Evaluate one trained system at several block lengths without retraining.
+
+    Lengths must be integers (Python or numpy, not bool): a float is not
+    truncated. Every record is labelled ``default_label(system)``.
+    """
+    sizes = list(lengths)
     if not sizes:
         raise DomainError("lengths must not be empty")
+    if any(isinstance(n, bool) or not isinstance(n, (int, np.integer)) for n in sizes):
+        raise DomainError(f"block lengths must be integers, got {sizes}")
+    sizes = [int(n) for n in sizes]
     if any(n < 1 for n in sizes):
         raise DomainError(f"block lengths must be >= 1, got {sizes}")
     if blocks_per_length < 1:
         raise DomainError(f"blocks_per_length must be >= 1, got {blocks_per_length}")
     ebno_db = check_ebno_db(float(ebno_db))
-    name = default_label(system) if label is None else label
 
     counts = _measure(system, "block_length_transfer", "length",
                       [(ebno_db, length, f"L={length}") for length in sizes],
@@ -233,7 +239,7 @@ def block_length_transfer(system, lengths, ebno_db: float, blocks_per_length: in
             bler_ci_high=b_hi,
             blocks=blocks_per_length,
             seed=seed,
-            system_label=name,
+            system_label=default_label(system),
         ))
     return records
 

@@ -13,6 +13,10 @@ import numpy as np
 from .errors import DegenerateSignalError, DomainError, ShapeMismatchError
 from .tensor import SYSTEM_DTYPE, Tensor, exp_clip, from_op
 
+BN_MOMENTUM = 0.99  # weight of the running statistics in each update
+BN_EPSILON = 1e-3   # added to the variance before its square root
+POWER_EPSILON = 1e-12  # a block whose mean square is at most this is degenerate
+
 
 def glorot_uniform(rng: np.random.Generator, shape: tuple, fan_in: int, fan_out: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
@@ -29,11 +33,10 @@ class Conv1D:
     """
 
     def __init__(self, in_channels: int, out_channels: int, *,
-                 rng: np.random.Generator | None = None, name: str = "conv"):
+                 rng: np.random.Generator, name: str = "conv"):
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.name = name
-        rng = rng or np.random.default_rng()
         weight = glorot_uniform(rng, (out_channels, in_channels, 1), in_channels, out_channels)
         self.weight = Tensor(weight.astype(SYSTEM_DTYPE), requires_grad=True)
         self.bias = Tensor(np.zeros(out_channels, dtype=SYSTEM_DTYPE), requires_grad=True)
@@ -68,8 +71,9 @@ class BatchNorm1D:
     """Per-channel batch normalization over (batch, positions).
 
     Training normalizes with biased batch statistics and tracks running
-    stats with the update r = momentum * r + (1 - momentum) * batch.
-    Evaluation uses the running statistics only.
+    stats with the update r = m * r + (1 - m) * batch, m = ``BN_MOMENTUM``.
+    Evaluation uses the running statistics only. Both modes add
+    ``BN_EPSILON`` to the variance.
 
     Forward and backward work on the (batch * positions, channels) view and
     compute each full-width quantity once. The variance is sum(centered^2)/n,
@@ -77,11 +81,8 @@ class BatchNorm1D:
     order of the textbook formulas, so the results equal them bit for bit.
     """
 
-    def __init__(self, channels: int, momentum: float = 0.99, epsilon: float = 1e-3,
-                 *, name: str = "batchnorm"):
+    def __init__(self, channels: int, *, name: str = "batchnorm"):
         self.channels = channels
-        self.momentum = momentum
-        self.epsilon = epsilon
         self.name = name
         self.training = True
         self.gamma = Tensor(np.ones(channels, dtype=SYSTEM_DTYPE), requires_grad=True)
@@ -100,13 +101,13 @@ class BatchNorm1D:
             mean = xd.sum(axis=0) / n
             x_hat = xd - mean
             var = np.square(x_hat).sum(axis=0) / n
-            self.running_mean = self.momentum * self.running_mean + (1.0 - self.momentum) * mean
-            self.running_var = self.momentum * self.running_var + (1.0 - self.momentum) * var
+            self.running_mean = BN_MOMENTUM * self.running_mean + (1.0 - BN_MOMENTUM) * mean
+            self.running_var = BN_MOMENTUM * self.running_var + (1.0 - BN_MOMENTUM) * var
         else:
             x_hat = xd - self.running_mean
             var = self.running_var
 
-        inv = 1.0 / np.sqrt(var + self.epsilon)
+        inv = 1.0 / np.sqrt(var + BN_EPSILON)
         x_hat *= inv
         out = self.gamma.data * x_hat
         out += self.shift.data
@@ -167,8 +168,7 @@ class PowerNormalization:
     which decouples positions entirely (used as a diagnostic).
     """
 
-    def __init__(self, epsilon: float = 1e-12, per_position: bool = False):
-        self.epsilon = epsilon
+    def __init__(self, per_position: bool = False):
         self.per_position = per_position
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -176,7 +176,7 @@ class PowerNormalization:
             raise ShapeMismatchError(f"expected (batch, len, channels), got {x.shape}")
         axes = (2,) if self.per_position else (1, 2)
         mean_sq = (x.data ** 2).mean(axis=axes, keepdims=True)
-        if np.any(mean_sq <= self.epsilon):
+        if np.any(mean_sq <= POWER_EPSILON):
             raise DegenerateSignalError("signal power below epsilon, cannot normalize")
         scale = np.sqrt(1.0 / mean_sq)  # not 1 / sqrt: that can differ in the last bit
         out = x.data * scale

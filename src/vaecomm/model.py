@@ -1,7 +1,7 @@
-"""Transceiver assembly: the stage chain from one-hot messages to probabilities.
+"""Transceiver assembly: the stage chain from one-hot messages to logits.
 
 The transmitter maps one-hot messages to a power-constrained latent signal;
-the receiver maps the channel output back to a categorical distribution.
+the receiver maps the channel output back to one score (logit) per message.
 The chain is written once, as the TRANSMITTER and RECEIVER stage tuples:
 construction, forward passes, tracing, mode switching, parameter naming and
 the checkpoint's batch-norm list all iterate them. Every convolution is
@@ -13,13 +13,13 @@ running statistics, activations, gradients, the codebook and the decoder.
 Inputs of another dtype are cast where they enter (``_check_onehot``,
 ``receive``, ``decide``).
 
-``transmit``/``receive`` run the whole chain and are the reference path
-that ``trace`` uses. Training runs the same stages up to the receiver's
-logits and hands those to the loss, which applies the softmax itself.
-Evaluation runs prefixes of the same tuples instead: ``codebook``
-precomputes each message's pre-normalization latent once, ``encode``
-gathers from it and power-normalizes, and ``decide`` runs the receiver up
-to the softmax on blocks of ``_DECIDE_ROWS`` positions and keeps only each
+``transmit``/``receive`` run the whole chain and are the reference path;
+``receive`` applies a softmax to the logits, so it returns probabilities.
+Training and ``trace`` run the same stages and stop at the logits; the loss
+applies the softmax itself. Evaluation runs the same tuples in pieces
+instead: ``codebook`` precomputes each message's pre-normalization latent
+once, ``encode`` gathers from it and power-normalizes, and ``decide`` runs
+the receiver on blocks of ``_DECIDE_ROWS`` positions and keeps only each
 position's argmax, so no full-chunk activation is allocated.
 """
 
@@ -148,15 +148,13 @@ RECEIVER = (
     Stage("rx_act1", ("h",), "h", _fixed(elu)),
     Stage("rx_bn", ("h",), "h", _batchnorm),
     Stage("rx_conv2", ("h",), "h", _conv("hidden_filters", "M")),
-    Stage("softmax", ("h",), "probs", _fixed(softmax)),
 )
 STAGES = TRANSMITTER + RECEIVER
 
 # In eval mode every transmitter stage before the power norm maps each
 # position on its own (batch norm uses running stats, sampling returns mu),
-# and the softmax does not move the argmax. Evaluation runs these prefixes.
+# so the codebook runs this prefix once per message.
 _ENCODER = TRANSMITTER[:-1]  # one-hot -> pre-normalization latent
-_DECODER = RECEIVER[:-1]     # channel output -> logits
 
 # Positions per receiver pass in ``decide``: the widest activation is then
 # 512 x hidden_filters floats (512 KiB at 256 filters) for any chunk size.
@@ -234,12 +232,12 @@ class CommSystem:
                 record.append((name, env[output].data))
         return env
 
-    def _forward(self, x: Tensor, channel: ChannelModel, receiver, record=None) -> dict:
+    def _forward(self, x: Tensor, channel: ChannelModel, record=None) -> dict:
         env = self._run(TRANSMITTER, {"x": x}, record)
         env["y"] = channel.apply(env["signal"])
         if record is not None:
             record.append(("channel", env["y"].data))
-        return self._run(receiver, env, record)
+        return self._run(RECEIVER, env, record)
 
     def transmit(self, onehot) -> tuple[Tensor, Tensor, Tensor]:
         """One-hot messages (batch, L, M) to power-normalized signal, plus
@@ -249,12 +247,12 @@ class CommSystem:
 
     def receive(self, y: Tensor) -> Tensor:
         """Channel output (batch, L, latent_dim) to per-position probabilities."""
-        return self._run(RECEIVER, {"y": cast(y, SYSTEM_DTYPE)})["probs"]
+        return softmax(self._run(RECEIVER, {"y": cast(y, SYSTEM_DTYPE)})["h"])
 
     def end_to_end(self, onehot, channel: ChannelModel) -> EndToEndResult:
         """Forward through the channel and the loss, computed from the logits."""
         x = self._check_onehot(onehot)
-        env = self._forward(x, channel, _DECODER)
+        env = self._forward(x, channel)
         loss, breakdown = beta_vae_loss(env["h"], x, env["mu"], env["logvar"],
                                         self.config.beta)
         return EndToEndResult(mu=env["mu"], logvar=env["logvar"], signal=env["signal"],
@@ -265,7 +263,7 @@ class CommSystem:
         (stage name, output) for every stage, with the channel output between
         transmitter and receiver as "channel"."""
         steps: list[tuple[str, np.ndarray]] = []
-        self._forward(self._check_onehot(onehot), channel, RECEIVER, steps)
+        self._forward(self._check_onehot(onehot), channel, steps)
         return steps
 
     # -- eval-mode codebook path --------------------------------------------------
@@ -300,7 +298,7 @@ class CommSystem:
     def decide(self, y: Tensor) -> np.ndarray:
         """Channel output (batch, L, latent_dim) to the decided symbols, int64 (batch, L).
 
-        The argmax of the receiver's pre-softmax scores, computed on
+        The argmax of the receiver's logits, computed on
         consecutive blocks of ``_DECIDE_ROWS`` positions. In eval mode every
         receiver stage maps each position on its own, so the blocks do not
         change the decisions; they bound the memory of a pass.
@@ -312,7 +310,7 @@ class CommSystem:
         with no_grad():
             for start in range(0, rows.shape[1], _DECIDE_ROWS):
                 block = Tensor(rows[:, start:start + _DECIDE_ROWS])
-                scores = self._run(_DECODER, {"y": block})["h"].data
+                scores = self._run(RECEIVER, {"y": block})["h"].data
                 decided[start:start + scores.shape[1]] = scores[0].argmax(axis=1)
         return decided.reshape(y.shape[:-1])
 

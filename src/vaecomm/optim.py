@@ -19,15 +19,16 @@ import numpy as np
 from .errors import ShapeMismatchError
 from .tensor import Tensor
 
+# the moments' decay rates and the denominator's offset, as Kingma & Ba set them
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
+
 
 class Adam:
-    def __init__(self, params: list[Tensor], lr: float = 0.01,
-                 beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-8):
+    def __init__(self, params: list[Tensor], lr: float = 0.01):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self.t = 0
         ends = np.cumsum([0] + [p.size for p in self.params])
         self._slices = [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
@@ -51,8 +52,8 @@ class Adam:
         master copy from the new data.
         """
         self.t += 1
-        c1 = 1.0 - self.beta1**self.t
-        c2 = 1.0 - self.beta2**self.t
+        c1 = 1.0 - BETA1**self.t
+        c2 = 1.0 - BETA2**self.t
         live = []
         for i, p in enumerate(self.params):
             if p.grad is None:
@@ -70,17 +71,17 @@ class Adam:
             # in place, in the operand order of
             # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
             # p = p - lr * (m/c1) / (sqrt(v/c2) + eps)
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m *= BETA1
+            m += (1.0 - BETA1) * g
             gg = g * g
-            gg *= 1.0 - self.beta2
-            v *= self.beta2
+            gg *= 1.0 - BETA2
+            v *= BETA2
             v += gg
             step = m / c1
             step *= self.lr
             denom = v / c2
             np.sqrt(denom, out=denom)
-            denom += self.epsilon
+            denom += EPSILON
             step /= denom
             self._master[s] -= step
         for i in live:

@@ -80,7 +80,7 @@ SYSTEM_DTYPE = np.float32
 # float32; exp(88.7) already overflows float32, and exp(-88) is subnormal
 EXP_CLIP = 700.0
 EXP_CLIP_F32 = 80.0
-LOG_FLOOR = 1e-12
+FD_STEP = 1e-5
 FD_ROUNDING_TO_FLOOR = 1e6
 
 _counter = itertools.count()
@@ -150,9 +150,6 @@ class Tensor:
 
     # -- graph construction ------------------------------------------------
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def backward(self) -> None:
         """Accumulate gradients of this scalar into every reachable leaf.
 
@@ -197,9 +194,6 @@ class Tensor:
         out_data = _broadcast_binary(a, b, np.subtract)
         return from_op(out_data, (a, b), lambda g: (g, -g))
 
-    def __rsub__(self, other):
-        return _wrap(other, self).__sub__(self)
-
     def __mul__(self, other):
         a, b = self, _wrap(other, self)
         out_data = _broadcast_binary(a, b, np.multiply)
@@ -213,9 +207,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return from_op(-self.data, (self,), lambda g: (-g,))
-
     def exp(self) -> "Tensor":
         # arguments clipped to +-exp_clip so the forward pass cannot overflow
         x = self.data
@@ -224,26 +215,9 @@ class Tensor:
         mask = (x > -bound) & (x < bound)
         return from_op(out, (self,), lambda g: (g * out * mask,))
 
-    def log(self) -> "Tensor":
-        # negative input is a hard error; [0, 1e-12) is floored for stability
-        x = self.data
-        if np.any(x < 0.0):
-            raise DomainError("log of negative value")
-        safe = np.maximum(x, LOG_FLOOR)
-        mask = x >= LOG_FLOOR
-        return from_op(np.log(safe), (self,), lambda g: (g / safe * mask,))
-
     def square(self) -> "Tensor":
         x = self.data
         return from_op(x * x, (self,), lambda g: (2.0 * x * g,))
-
-    def clip(self, lo: float, hi: float) -> "Tensor":
-        """Clamp to [lo, hi]; gradient passes through the unclipped region."""
-        if not lo < hi:
-            raise DomainError(f"clip needs lo < hi, got [{lo}, {hi}]")
-        x = self.data
-        mask = (x >= lo) & (x <= hi)
-        return from_op(np.clip(x, lo, hi), (self,), lambda g: (g * mask,))
 
     # -- reductions ----------------------------------------------------------
 
@@ -348,20 +322,17 @@ class GradCheckReport:
     passed: bool
 
 
-def finite_difference_check(f, x: Tensor, step: float = 1e-5, rel_tol: float = 1e-4) -> GradCheckReport:
+def finite_difference_check(f, x: Tensor, rel_tol: float = 1e-4) -> GradCheckReport:
     """Compare the autodiff gradient of scalar-valued ``f`` at ``x`` against
-    central finite differences.
+    central finite differences of step ``FD_STEP``.
 
     ``f`` must be deterministic; it is evaluated twice and a mismatch raises
     NonDeterministicFunctionError. Relative error uses a per-entry floor in
     the denominator: 1e-8, or ``FD_ROUNDING_TO_FLOOR`` times the central
-    difference's own rounding error, eps * max|f(x +- step)| / step, if
+    difference's own rounding error, eps * max|f(x +- FD_STEP)| / FD_STEP, if
     larger. A large constant part in f makes that rounding error large next
     to small gradient entries; the floor keeps it at a relative 1e-6.
     """
-    if step <= 0.0:
-        raise DomainError(f"step must be positive, got {step}")
-
     leaf = Tensor(x.data.copy(), requires_grad=True)
     y = f(leaf)
     if not isinstance(y, Tensor) or y.size != 1:
@@ -380,15 +351,15 @@ def finite_difference_check(f, x: Tensor, step: float = 1e-5, rel_tol: float = 1
     with no_grad():
         for i in range(base.size):
             orig = base[i]
-            base[i] = orig + step
+            base[i] = orig + FD_STEP
             hi = float(f(Tensor(base.reshape(x.data.shape))).data)
-            base[i] = orig - step
+            base[i] = orig - FD_STEP
             lo = float(f(Tensor(base.reshape(x.data.shape))).data)
             base[i] = orig
-            flat[i] = (hi - lo) / (2.0 * step)
+            flat[i] = (hi - lo) / (2.0 * FD_STEP)
             mag[i] = max(abs(hi), abs(lo))
 
-    rounding = np.finfo(leaf.data.dtype).eps * magnitude / step
+    rounding = np.finfo(leaf.data.dtype).eps * magnitude / FD_STEP
     floor = np.maximum(FD_ROUNDING_TO_FLOOR * rounding, 1e-8)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
     max_rel = float(np.max(np.abs(analytic - numeric) / denom)) if base.size else 0.0

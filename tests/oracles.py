@@ -1,0 +1,29 @@
+"""Sampling oracles that tests check closed-form results against."""
+
+from __future__ import annotations
+
+import numpy as np
+
+from vaecomm.errors import DomainError, ShapeMismatchError
+
+
+def monte_carlo_expectation(f, mu: np.ndarray, logvar: np.ndarray,
+                            n_samples: int, seed: int) -> float | np.ndarray:
+    """Estimate E_{h ~ N(mu, exp(logvar))}[f(h)] by reparameterized sampling.
+
+    Draws are stacked on a new leading axis, so ``f`` receives an array of
+    shape (n_samples, *mu.shape) and must be vectorized over it. Used as the
+    sampling-based oracle against closed-form expectations.
+    """
+    if n_samples < 1:
+        raise DomainError(f"n_samples must be >= 1, got {n_samples}")
+    mu = np.asarray(mu, dtype=np.float64)
+    logvar = np.asarray(logvar, dtype=np.float64)
+    if mu.shape != logvar.shape:
+        raise ShapeMismatchError(f"mu/logvar shapes differ: {mu.shape} vs {logvar.shape}")
+    rng = np.random.default_rng(seed)
+    eps = rng.standard_normal((n_samples,) + mu.shape)
+    h = mu + np.exp(0.5 * logvar) * eps
+    vals = np.asarray(f(h), dtype=np.float64)
+    est = vals.mean(axis=0)
+    return est.item() if np.ndim(est) == 0 or est.size == 1 else est

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from oracles import monte_carlo_expectation
 from vaecomm.baselines import Constellation, analytic_ber, baseline_bler
 from vaecomm.channels import ChannelModel, noise_variance
 from vaecomm.checkpoint import load_checkpoint, save_checkpoint
@@ -19,7 +20,7 @@ from vaecomm.curves import wilson_interval
 from vaecomm.data import generate_dataset, one_hot
 from vaecomm.evaluation import block_length_transfer, evaluate_bler
 from vaecomm.gradcheck import run_all
-from vaecomm.losses import kl_standard_normal, monte_carlo_expectation
+from vaecomm.losses import kl_standard_normal
 from vaecomm.model import CommSystem, SystemConfig
 from vaecomm.seeding import derive_seed
 from vaecomm.tensor import Tensor, no_grad

@@ -12,7 +12,6 @@ from vaecomm.baselines import (
     analytic_ber,
     analytic_ser,
     baseline_bler,
-    bler_from_ser,
     demodulate_hard,
     modulate,
     qfunc,
@@ -147,7 +146,7 @@ def test_mc_ber_matches_analytic_within_3_sigma(name):
 def test_bler_matches_iid_identity_within_ci():
     c = Constellation.qpsk()
     res = baseline_bler(c, 4.0, k=4, L=10, n_blocks=20_000, seed=2)
-    predicted = bler_from_ser(res.ser, 10)
+    predicted = 1.0 - (1.0 - res.ser) ** 10
     assert res.ci_low <= predicted <= res.ci_high, (predicted, res)
 
 
@@ -193,6 +192,15 @@ def test_baseline_rejects_partial_symbols():
 def test_baseline_rejects_nan_and_minus_inf_ebno(ebno_db):
     with pytest.raises(DomainError, match="Eb/N0"):
         baseline_bler(Constellation.qpsk(), ebno_db, k=2, L=4, n_blocks=10, seed=0)
+
+
+@pytest.mark.parametrize("chunk_blocks", [0, -3])
+def test_baseline_rejects_chunk_blocks_below_one(chunk_blocks):
+    # 0 looped forever, as no chunk advanced the block count, and a
+    # negative value raised numpy's ValueError
+    with pytest.raises(DomainError, match="chunk_blocks"):
+        baseline_bler(Constellation.qpsk(), 4.0, k=2, L=4, n_blocks=10, seed=0,
+                      chunk_blocks=chunk_blocks)
 
 
 # -- intervals and serialization ------------------------------------------------------------

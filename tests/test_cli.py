@@ -373,7 +373,7 @@ def test_gradcheck_passes_and_prints_components(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "softmax" in out and "PASS" in out
-    assert "all 18 gradient checks passed" in out
+    assert "all 16 gradient checks passed" in out
 
 
 def test_gradcheck_too_strict_tolerance_fails(capsys):

@@ -229,8 +229,6 @@ def test_curve_metadata_and_labels():
     assert all(p.seed == 17 for p in curve.points)
     assert all(p.system_label == "vae_k2n1m2_awgn" for p in curve.points)
     assert all(p.block_length == 4 for p in curve.points)
-    named = evaluate_bler(system, [2.0], blocks_per_point=8, seed=17, label="mine")
-    assert named.points[0].system_label == "mine"
     assert default_label(system) == "vae_k2n1m2_awgn"
 
 
@@ -424,6 +422,10 @@ def test_transfer_rejects_bad_arguments():
         block_length_transfer(system, [], 5.0, blocks_per_length=10, seed=0)
     with pytest.raises(DomainError):
         block_length_transfer(system, [0], 5.0, blocks_per_length=10, seed=0)
+    # a float or bool length was truncated: 2.7 ran, and was labelled, as L=2
+    for bad in (2.7, True):
+        with pytest.raises(DomainError, match="integers"):
+            block_length_transfer(system, [5, bad], 5.0, blocks_per_length=10, seed=0)
     with pytest.raises(DomainError):
         block_length_transfer(system, [5], 5.0, blocks_per_length=0, seed=0)
     with pytest.raises(DomainError):
@@ -438,13 +440,13 @@ def test_transfer_rejects_bad_arguments():
 
 def test_transfer_csv_and_json_output(tmp_path):
     records = block_length_transfer(EchoSystem(), [2, 4], math.inf,
-                                    blocks_per_length=10, seed=1, label="echo")
+                                    blocks_per_length=10, seed=1)
     csv_path = tmp_path / "transfer.csv"
     write_table(str(csv_path), "csv", *dataclass_table(TransferRecord, records))
     lines = csv_path.read_text().splitlines()
     assert lines[0] == ("block_length,ser,ser_ci_low,ser_ci_high,"
                         "bler,bler_ci_low,bler_ci_high,blocks,seed,system_label")
-    assert lines[1].startswith("2,0.0,0.0,") and lines[1].endswith("10,1,echo")
+    assert lines[1].startswith("2,0.0,0.0,") and lines[1].endswith("10,1,vae_k2n1m2_awgn")
     json_path = tmp_path / "transfer.json"
     write_table(str(json_path), "json", *dataclass_table(TransferRecord, records))
     loaded = json.loads(json_path.read_text())

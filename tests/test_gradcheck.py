@@ -20,7 +20,7 @@ def test_every_component_passes_at_reduced_trials():
 
 def test_registry_covers_layers_and_losses():
     names = component_names()
-    for required in ("log_chain", "conv1d_k1_input", "conv1d_weight", "batchnorm_train",
+    for required in ("elementwise_chain", "conv1d_k1_input", "conv1d_weight", "batchnorm_train",
                      "batchnorm_eval", "gaussian_sampling_mu", "gaussian_sampling_logvar",
                      "power_norm", "power_norm_per_position", "elu", "softmax", "kl_mu",
                      "softmax_binary_cross_entropy", "beta_vae_loss"):

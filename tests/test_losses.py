@@ -5,16 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import monte_carlo_expectation
 from vaecomm import DomainError, ShapeMismatchError, Tensor, finite_difference_check
 from vaecomm.losses import (
     PRED_CLIP,
     LossBreakdown,
     beta_vae_loss,
     kl_standard_normal,
-    monte_carlo_expectation,
     softmax_binary_cross_entropy,
 )
 from vaecomm.layers import softmax
+from vaecomm.tensor import from_op
 
 
 # -- KL divergence -------------------------------------------------------------
@@ -137,12 +138,37 @@ def test_bce_gradients_match_finite_differences():
     assert report.passed, report.max_rel_err
 
 
+def _clip(x: Tensor, lo: float, hi: float) -> Tensor:
+    """Clamp to [lo, hi]; the gradient passes through the unclipped region."""
+    d = x.data
+    mask = (d >= lo) & (d <= hi)
+    return from_op(np.clip(d, lo, hi), (x,), lambda g: (g * mask,))
+
+
+def _floored_log(x: Tensor) -> Tensor:
+    """log(max(x, PRED_CLIP)); no gradient below the floor."""
+    d = x.data
+    safe = np.maximum(d, PRED_CLIP)
+    mask = d >= PRED_CLIP
+    return from_op(np.log(safe), (x,), lambda g: (g / safe * mask,))
+
+
+def test_clip_and_floored_log_gradients_match_finite_differences():
+    # entries kept away from the clip edges and the floor, where the derivative jumps
+    x0 = np.random.default_rng(11).uniform(0.1, 0.9, size=(3, 4))
+    def f(x):
+        return (_floored_log(_clip(x, 0.05, 0.95)) + _floored_log(x * 0.5 + 1.0)).mean()
+    report = finite_difference_check(f, Tensor(x0))
+    assert report.passed, report.max_rel_err
+
+
 def _bce_of_probabilities(pred: Tensor, target: Tensor) -> Tensor:
     """The probability-input BCE the logits node replaced, composed from
-    Tensor ops: clip p to [1e-12, 1 - 1e-12], floored logs, sum, mean."""
-    p = pred.clip(PRED_CLIP, 1.0 - PRED_CLIP)
-    term = target * p.log() + (1.0 - target) * (1.0 - p).log()
-    return -(term.sum(axis=-1).mean())
+    Tensor ops: clip p to [1e-12, 1 - 1e-12], floored logs, sum, mean.
+    1 - a is written a * -1.0 + 1.0 and -a as a * -1.0: the same bits."""
+    p = _clip(pred, PRED_CLIP, 1.0 - PRED_CLIP)
+    term = target * _floored_log(p) + (target * -1.0 + 1.0) * _floored_log(p * -1.0 + 1.0)
+    return term.sum(axis=-1).mean() * -1.0
 
 
 def _value_and_grad(loss_fn, logits, target, upstream):

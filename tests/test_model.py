@@ -248,7 +248,7 @@ def test_trace_names_every_stage():
     assert names == [
         "tx_conv1", "tx_act1", "tx_conv2", "tx_act2", "tx_bn", "mu_head",
         "logvar_head", "sampling", "power_norm", "channel", "rx_conv1",
-        "rx_act1", "rx_bn", "rx_conv2", "softmax",
+        "rx_act1", "rx_bn", "rx_conv2",
     ]
     assert names == [s.name for s in TRANSMITTER] + ["channel"] + [s.name for s in RECEIVER]
     for name, arr in steps:
