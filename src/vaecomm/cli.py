@@ -123,8 +123,6 @@ class RunConfig:
     L: int = _option(100, "train sweep baseline", "block length in symbols", paper=True)
     train_ebno_db: float = _option(6.0, "train", "training Eb/N0 in dB")
     train_messages: int = _option(12800, "train", "training messages to generate", paper=True)
-    test_messages: int = _option(64000, "train", "held-back test messages to generate",
-                                 paper=True)
     ebno: tuple[float, ...] = _option(tuple(float(v) for v in range(5, 16)), "sweep baseline",
                                       "Eb/N0 sweep as start:stop:step (inclusive)",
                                       convert=parse_sweep)
@@ -243,8 +241,7 @@ def cmd_train(cfg: RunConfig, explicit: frozenset) -> int:
     print(f"parameters: {system.parameter_count()} "
           f"(reference count: {REFERENCE_PARAMETER_COUNT})")
     dataset = generate_dataset(cfg.k, cfg.L, cfg.train_messages,
-                               derive_seed(cfg.seed, _DATASET_STREAM),
-                               num_test=cfg.test_messages)
+                               derive_seed(cfg.seed, _DATASET_STREAM), num_test=0)
     logbook = train(system, dataset, epochs=cfg.epochs, batch_size=cfg.batch,
                     lr=cfg.lr, train_ebno_db=cfg.train_ebno_db)
     save_checkpoint(system, cfg.out)

@@ -169,6 +169,8 @@ def evaluate_bler(system, ebno_points, blocks_per_point: int, seed: int, *,
     part of the experiment definition: each chunk's random streams derive
     from (seed, point, chunk index), so counts are identical for any worker
     count or scheduling order, but changing chunk_blocks redraws the data.
+    block_length must be an integer as in ``block_length_transfer``; None
+    means the system's own L.
     """
     points = [check_ebno_db(float(p)) for p in ebno_points]
     if not points:
@@ -177,9 +179,8 @@ def evaluate_bler(system, ebno_points, blocks_per_point: int, seed: int, *,
         raise DomainError(f"ebno_points must be strictly increasing, got {points}")
     if blocks_per_point < 1:
         raise DomainError(f"blocks_per_point must be >= 1, got {blocks_per_point}")
-    length = system.config.block_length if block_length is None else block_length
-    if length < 1:
-        raise DomainError(f"block_length must be >= 1, got {length}")
+    (length,) = _block_lengths([system.config.block_length if block_length is None
+                                else block_length])
 
     counts = _measure(system, "evaluate_bler", "point",
                       [(ebno, length, f"Eb/N0 {ebno} dB") for ebno in points],
@@ -201,6 +202,17 @@ def evaluate_bler(system, ebno_points, blocks_per_point: int, seed: int, *,
     return BlerCurve(points=curve_points)
 
 
+def _block_lengths(sizes: list) -> list[int]:
+    """The lengths as ints. Only Python or numpy integers, not bool, are
+    accepted, so a float is not truncated; each must be >= 1."""
+    if any(isinstance(n, bool) or not isinstance(n, (int, np.integer)) for n in sizes):
+        raise DomainError(f"block lengths must be integers, got {sizes}")
+    sizes = [int(n) for n in sizes]
+    if any(n < 1 for n in sizes):
+        raise DomainError(f"block lengths must be >= 1, got {sizes}")
+    return sizes
+
+
 def block_length_transfer(system, lengths, ebno_db: float, blocks_per_length: int,
                           seed: int, *, chunk_blocks: int = 256,
                           workers: int | None = None) -> list[TransferRecord]:
@@ -212,11 +224,7 @@ def block_length_transfer(system, lengths, ebno_db: float, blocks_per_length: in
     sizes = list(lengths)
     if not sizes:
         raise DomainError("lengths must not be empty")
-    if any(isinstance(n, bool) or not isinstance(n, (int, np.integer)) for n in sizes):
-        raise DomainError(f"block lengths must be integers, got {sizes}")
-    sizes = [int(n) for n in sizes]
-    if any(n < 1 for n in sizes):
-        raise DomainError(f"block lengths must be >= 1, got {sizes}")
+    sizes = _block_lengths(sizes)
     if blocks_per_length < 1:
         raise DomainError(f"blocks_per_length must be >= 1, got {blocks_per_length}")
     ebno_db = check_ebno_db(float(ebno_db))

@@ -3,10 +3,10 @@
 The transmitter maps one-hot messages to a power-constrained latent signal;
 the receiver maps the channel output back to one score (logit) per message.
 The chain is written once, as the TRANSMITTER and RECEIVER stage tuples:
-construction, forward passes, tracing, mode switching, parameter naming and
-the checkpoint's batch-norm list all iterate them. Every convolution is
-position-wise (kernel size 1), so a trained system can be applied to any
-block length.
+construction, forward passes, the stage records, mode switching, parameter
+naming and the checkpoint's batch-norm list all iterate them. Every
+convolution is position-wise (kernel size 1), so a trained system can be
+applied to any block length.
 
 Everything the system holds and computes is float32: parameters, batch-norm
 running statistics, activations, gradients, the codebook and the decoder.
@@ -15,12 +15,13 @@ Inputs of another dtype are cast where they enter (``_check_onehot``,
 
 ``transmit``/``receive`` run the whole chain and are the reference path;
 ``receive`` applies a softmax to the logits, so it returns probabilities.
-Training and ``trace`` run the same stages and stop at the logits; the loss
-applies the softmax itself. Evaluation runs the same tuples in pieces
-instead: ``codebook`` precomputes each message's pre-normalization latent
-once, ``encode`` gathers from it and power-normalizes, and ``decide`` runs
-the receiver on blocks of ``_DECIDE_ROWS`` positions and keeps only each
-position's argmax, so no full-chunk activation is allocated.
+``end_to_end`` runs the same stages, stops at the logits (the loss applies
+the softmax itself) and keeps every stage's output. Evaluation runs the same
+tuples in pieces instead: ``codebook`` precomputes each message's
+pre-normalization latent once, ``encode`` gathers from it and
+power-normalizes, and ``decide`` runs the receiver on blocks of
+``_DECIDE_ROWS`` positions and keeps only each position's argmax, so no
+full-chunk activation is allocated.
 """
 
 from __future__ import annotations
@@ -175,6 +176,9 @@ class EndToEndResult:
     signal: Tensor
     loss: Tensor
     breakdown: LossBreakdown
+    # (stage name, output) in chain order, with the channel output between
+    # transmitter and receiver as "channel"
+    stages: list[tuple[str, np.ndarray]]
 
 
 class CommSystem:
@@ -232,13 +236,6 @@ class CommSystem:
                 record.append((name, env[output].data))
         return env
 
-    def _forward(self, x: Tensor, channel: ChannelModel, record=None) -> dict:
-        env = self._run(TRANSMITTER, {"x": x}, record)
-        env["y"] = channel.apply(env["signal"])
-        if record is not None:
-            record.append(("channel", env["y"].data))
-        return self._run(RECEIVER, env, record)
-
     def transmit(self, onehot) -> tuple[Tensor, Tensor, Tensor]:
         """One-hot messages (batch, L, M) to power-normalized signal, plus
         the posterior mu and logvar the signal was drawn from."""
@@ -250,21 +247,19 @@ class CommSystem:
         return softmax(self._run(RECEIVER, {"y": cast(y, SYSTEM_DTYPE)})["h"])
 
     def end_to_end(self, onehot, channel: ChannelModel) -> EndToEndResult:
-        """Forward through the channel and the loss, computed from the logits."""
+        """Forward through the channel and the loss, computed from the logits.
+        Every stage's output is kept in ``stages``; in training the graph
+        holds them until the result is released anyway."""
         x = self._check_onehot(onehot)
-        env = self._forward(x, channel)
+        stages: list[tuple[str, np.ndarray]] = []
+        env = self._run(TRANSMITTER, {"x": x}, stages)
+        env["y"] = channel.apply(env["signal"])
+        stages.append(("channel", env["y"].data))
+        env = self._run(RECEIVER, env, stages)
         loss, breakdown = beta_vae_loss(env["h"], x, env["mu"], env["logvar"],
                                         self.config.beta)
         return EndToEndResult(mu=env["mu"], logvar=env["logvar"], signal=env["signal"],
-                              loss=loss, breakdown=breakdown)
-
-    def trace(self, onehot, channel: ChannelModel) -> list[tuple[str, np.ndarray]]:
-        """Stage-by-stage forward capture, for locating non-finite values:
-        (stage name, output) for every stage, with the channel output between
-        transmitter and receiver as "channel"."""
-        steps: list[tuple[str, np.ndarray]] = []
-        self._forward(self._check_onehot(onehot), channel, steps)
-        return steps
+                              loss=loss, breakdown=breakdown, stages=stages)
 
     # -- eval-mode codebook path --------------------------------------------------
 

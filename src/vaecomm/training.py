@@ -7,7 +7,6 @@ noise, and latent sampling each own an independent derived stream.
 
 from __future__ import annotations
 
-import copy
 import logging
 import time
 from dataclasses import dataclass, field
@@ -17,11 +16,10 @@ import numpy as np
 from .channels import ChannelModel
 from .data import Dataset, one_hot
 from .errors import DomainError, TrainingDivergedError
-from .layers import GaussianSampling
-from .model import CommSystem
+from .model import CommSystem, EndToEndResult
 from .optim import Adam
 from .seeding import derive_seed
-from .tensor import Tensor, no_grad
+from .tensor import no_grad
 
 log = logging.getLogger(__name__)
 
@@ -135,14 +133,12 @@ def train(system: CommSystem, dataset: Dataset, *, epochs: int, batch_size: int 
             if idx.size < 2:
                 continue  # batch statistics need at least two items
             x = one_hot(train_rows[idx], cfg.M)
-            states = [g.bit_generator.state for g in _generators(system, channel)]
             result = system.end_to_end(x, channel)
             breakdown = result.breakdown
             if not np.isfinite(breakdown.total):
-                layer = _first_non_finite_layer(system, x, channel, states)
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, batch {start // batch_size}; "
-                    f"first non-finite output in layer '{layer}'"
+                    f"{_divergence_source(result)}"
                 )
             optimizer.zero_grad()
             result.loss.backward()
@@ -197,24 +193,13 @@ def _validation_loss(system: CommSystem, val_rows: np.ndarray, cfg, ebno_db: flo
     return total / val_rows.shape[0]
 
 
-def _generators(system: CommSystem, channel: ChannelModel) -> list[np.random.Generator]:
-    """Every stream a training forward draws from: channel noise, then latent sampling."""
-    return [channel._rng] + [layer._rng for _, layer in system.layers_of(GaussianSampling)]
-
-
-def _first_non_finite_layer(system: CommSystem, x: Tensor, channel: ChannelModel,
-                            states: list[dict]) -> str:
-    """Replay the failing batch on copies whose generators are rewound to the
-    states captured before it, so the trace sees the same noise and sampling
-    draws, and the live system and streams stay as the failing forward left them."""
-    replica, replica_channel = copy.deepcopy((system, channel))
-    for gen, state in zip(_generators(replica, replica_channel), states):
-        gen.bit_generator.state = state
-    with no_grad():
-        try:
-            for name, arr in replica.trace(x, replica_channel):
-                if not np.isfinite(arr).all():
-                    return name
-        except Exception:  # the diverged forward itself may raise
-            pass
-    return "parameters"
+def _divergence_source(result: EndToEndResult) -> str:
+    """Where a non-finite loss first appears: the first stage whose output is
+    not all finite, or else the first non-finite loss term (the total, when
+    only beta * KL + reconstruction overflowed)."""
+    for name, out in result.stages:
+        if not np.isfinite(out).all():
+            return f"first non-finite output in layer '{name}'"
+    term = next(t for t in ("kl_term", "reconstruction_term", "total")
+                if not np.isfinite(getattr(result.breakdown, t)))
+    return f"every stage output is finite; non-finite loss term '{term}'"

@@ -327,8 +327,7 @@ def test_acceptance_9_determinism_and_formats(trained_awgn, tmp_path, capsys):
         out = tmp_path / f"{tag}.json"
         code = main(["train", "--k", "2", "--n", "1", "--filters", "16",
                      "--L", "4", "--epochs", "2", "--batch", "32",
-                     "--train-messages", "128", "--test-messages", "16",
-                     "--seed", "3", "--out", str(out)])
+                     "--train-messages", "128", "--seed", "3", "--out", str(out)])
         assert code == 0
         curve = tmp_path / f"{tag}.csv"
         code = main(["sweep", "--checkpoint", str(out), "--ebno", "5:7:1",

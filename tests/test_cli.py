@@ -31,8 +31,7 @@ def run_train(tmp_path, name="model.json", extra=(), fmt="csv"):
     out = tmp_path / name
     args = ["train", "--k", "2", "--n", "1", "--latent-mult", "2",
             "--filters", "12", "--L", "3", "--epochs", "2", "--batch", "32",
-            "--train-messages", "96", "--test-messages", "8",
-            "--seed", "9", "--format", fmt, "--out", str(out)]
+            "--train-messages", "96", "--seed", "9", "--format", fmt, "--out", str(out)]
     code = main(args + list(extra))
     return code, out
 
@@ -214,7 +213,7 @@ def test_train_config_file_and_flag_precedence(tmp_path, capsys):
     cfg_file.write_text("epochs = 1\nseed = 9\n")
     out = tmp_path / "m.json"
     code = main(["train", "--k", "2", "--n", "1", "--filters", "8", "--L", "2",
-                 "--train-messages", "64", "--test-messages", "8", "--batch", "32",
+                 "--train-messages", "64", "--batch", "32",
                  "--config", str(cfg_file), "--out", str(out)])
     capsys.readouterr()
     assert code == 0
@@ -222,7 +221,7 @@ def test_train_config_file_and_flag_precedence(tmp_path, capsys):
     assert len(rows) == 2  # header + 1 epoch from the file
 
     code = main(["train", "--k", "2", "--n", "1", "--filters", "8", "--L", "2",
-                 "--train-messages", "64", "--test-messages", "8", "--batch", "32",
+                 "--train-messages", "64", "--batch", "32",
                  "--epochs", "2", "--config", str(cfg_file), "--out", str(out)])
     capsys.readouterr()
     assert code == 0
@@ -409,8 +408,7 @@ def test_the_program_logs_training_progress_to_stderr(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "vaecomm.cli", "train", "--k", "2", "--n", "1",
          "--filters", "8", "--L", "3", "--epochs", "1", "--batch", "16",
-         "--train-messages", "40", "--test-messages", "4", "--seed", "1",
-         "--out", str(tmp_path / "m.json")],
+         "--train-messages", "40", "--seed", "1", "--out", str(tmp_path / "m.json")],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "vaecomm.training: epoch 1: " in proc.stderr
@@ -421,7 +419,7 @@ def test_the_program_logs_training_progress_to_stderr(tmp_path):
 
 COMMAND_FLAGS = {
     "train": "k n latent-mult channel filters beta lr epochs batch L train-ebno-db seed "
-             "train-messages test-messages out format config paper-scale",
+             "train-messages out format config paper-scale",
     "sweep": "checkpoint k n latent-mult channel filters L ebno blocks seed out format "
              "config paper-scale",
     "baseline": "constellation channel k L ebno blocks seed out format config paper-scale",

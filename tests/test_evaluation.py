@@ -336,8 +336,9 @@ def test_rejects_bad_sweep_arguments():
         evaluate_bler(system, [5.0], blocks_per_point=0, seed=0)
     with pytest.raises(DomainError):
         evaluate_bler(system, [5.0], blocks_per_point=10, seed=0, chunk_blocks=0)
-    with pytest.raises(DomainError):
-        evaluate_bler(system, [5.0], blocks_per_point=10, seed=0, block_length=0)
+    for bad in (0, 2.7, True):
+        with pytest.raises(DomainError, match="block lengths"):
+            evaluate_bler(system, [5.0], blocks_per_point=10, seed=0, block_length=bad)
     for bad in (float("nan"), float("-inf")):
         with pytest.raises(DomainError, match="Eb/N0"):
             evaluate_bler(system, [5.0, bad], blocks_per_point=10, seed=0)

@@ -241,18 +241,20 @@ def test_end_to_end_shapes_and_gradients_over_configs(k, n, m, filters, kind, le
 
 def test_trace_names_every_stage():
     cfg = desk_config()
-    sys_ = CommSystem(cfg).eval_mode()
+    sys_ = CommSystem(cfg)
     ch = ChannelModel("awgn", 6.0, cfg.code_rate, rng_seed=3)
-    steps = sys_.trace(onehot_batch(cfg, np.random.default_rng(7)), ch)
-    names = [n for n, _ in steps]
-    assert names == [
-        "tx_conv1", "tx_act1", "tx_conv2", "tx_act2", "tx_bn", "mu_head",
-        "logvar_head", "sampling", "power_norm", "channel", "rx_conv1",
-        "rx_act1", "rx_bn", "rx_conv2",
-    ]
-    assert names == [s.name for s in TRANSMITTER] + ["channel"] + [s.name for s in RECEIVER]
-    for name, arr in steps:
-        assert np.isfinite(arr).all(), name
+    x = onehot_batch(cfg, np.random.default_rng(7))
+    for mode in (sys_.train_mode, sys_.eval_mode):
+        steps = mode().end_to_end(x, ch).stages
+        names = [n for n, _ in steps]
+        assert names == [
+            "tx_conv1", "tx_act1", "tx_conv2", "tx_act2", "tx_bn", "mu_head",
+            "logvar_head", "sampling", "power_norm", "channel", "rx_conv1",
+            "rx_act1", "rx_bn", "rx_conv2",
+        ]
+        assert names == [s.name for s in TRANSMITTER] + ["channel"] + [s.name for s in RECEIVER]
+        for name, arr in steps:
+            assert np.isfinite(arr).all(), name
 
 
 # -- block length equivariance ------------------------------------------------------------

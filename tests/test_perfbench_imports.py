@@ -1,13 +1,17 @@
-"""Every library name the benchmark under perfbench/ reaches must exist.
+"""Every library name the benchmark under perfbench/ reaches must exist, and
+every keyword it passes to one must be a parameter of it.
 
 The benchmark's files are parsed, not imported, so this runs no workload.
 A name counts as reached when a ``from vaecomm... import`` binds it, or when
 it is read as an attribute of a name bound to a vaecomm module (such as
-``evaluation.X`` after ``from vaecomm import evaluation``).
+``evaluation.X`` after ``from vaecomm import evaluation``). Keywords are
+checked on calls of reached names; a method called on an object the
+benchmark built (``system.decide(...)``) is not followed.
 """
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import vaecomm
@@ -30,10 +34,11 @@ def _is_library(module_name: str | None) -> bool:
     return module_name is not None and module_name.split(".")[0] == "vaecomm"
 
 
-def _references(tree: ast.Module) -> list[tuple[str, str]]:
-    """(module, name) for every library name the parsed file reaches."""
-    refs = []
-    modules = {}  # local name -> the vaecomm module it is bound to
+def _bindings(tree: ast.Module) -> tuple[dict, dict]:
+    """Local names bound by vaecomm imports: name -> (module, name) for every
+    name a ``from`` import binds, and name -> module for every bound module."""
+    names = {}
+    modules = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -42,25 +47,76 @@ def _references(tree: ast.Module) -> list[tuple[str, str]]:
                     modules[local] = alias.name if alias.asname else local
         elif isinstance(node, ast.ImportFrom) and node.level == 0 and _is_library(node.module):
             for alias in node.names:
-                refs.append((node.module, alias.name))
+                local = alias.asname or alias.name
+                names[local] = (node.module, alias.name)
                 if isinstance(_lookup(node.module, alias.name), type(vaecomm)):
-                    modules[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+                    modules[local] = f"{node.module}.{alias.name}"
+    return names, modules
+
+
+def _module_attribute(node: ast.AST, modules: dict) -> tuple[str, str] | None:
+    """(module, name) when ``node`` reads an attribute off a bound vaecomm module."""
+    if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules):
+        return modules[node.value.id], node.attr
+    return None
+
+
+def _references(tree: ast.Module) -> list[tuple[str, str]]:
+    """(module, name) for every library name the parsed file reaches."""
+    names, modules = _bindings(tree)
+    return list(names.values()) + [ref for node in ast.walk(tree)
+                                   if (ref := _module_attribute(node, modules))]
+
+
+def _keywords(tree: ast.Module) -> list[tuple[str, str, str]]:
+    """(module, name, keyword) for every keyword passed in a call of a reached name."""
+    names, modules = _bindings(tree)
+    passed = []
     for node in ast.walk(tree):
-        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                and node.value.id in modules):
-            refs.append((modules[node.value.id], node.attr))
-    return refs
+        if not isinstance(node, ast.Call):
+            continue
+        if isinstance(node.func, ast.Name):
+            ref = names.get(node.func.id)
+        else:
+            ref = _module_attribute(node.func, modules)
+        if ref:
+            passed += [(*ref, kw.arg) for kw in node.keywords if kw.arg is not None]
+    return passed
+
+
+def _accepts(target, keyword: str) -> bool:
+    params = inspect.signature(target).parameters
+    if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()):
+        return True
+    return keyword in params and params[keyword].kind in (
+        inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.KEYWORD_ONLY)
+
+
+def _trees() -> list[tuple[str, ast.Module]]:
+    sources = sorted(PERFBENCH.glob("*.py"))
+    assert sources
+    return [(path.name, ast.parse(path.read_text(encoding="utf-8"))) for path in sources]
 
 
 def test_every_library_name_the_benchmark_reaches_exists():
-    sources = sorted(PERFBENCH.glob("*.py"))
-    assert sources
-    reached = {(path.name, module, name) for path in sources
-               for module, name in _references(ast.parse(path.read_text(encoding="utf-8")))}
+    reached = {(name, module, attr) for name, tree in _trees()
+               for module, attr in _references(tree)}
     # the benchmark reads evaluation.X and training.X: the attribute pass found them
     assert {module for _, module, _ in reached} >= {"vaecomm.evaluation", "vaecomm.training"}
     missing = sorted(ref for ref in reached if _lookup(ref[1], ref[2]) is None)
     assert not missing, f"perfbench reaches names the library no longer has: {missing}"
+
+
+def test_every_keyword_the_benchmark_passes_is_a_parameter():
+    passed = {(name, *ref) for name, tree in _trees() for ref in _keywords(tree)}
+    # keywords the benchmark is known to pass: the call pass found them
+    assert {(callee, kw) for _, _, callee, kw in passed} >= {
+        ("generate_dataset", "num_test"), ("train", "train_ebno_db"),
+        ("evaluate_bler", "workers"), ("Dataset", "test")}
+    wrong = sorted(ref for ref in passed
+                   if (target := _lookup(ref[1], ref[2])) is None or not _accepts(target, ref[3]))
+    assert not wrong, f"perfbench passes keywords the library no longer takes: {wrong}"
 
 
 def test_every_exported_name_exists():
