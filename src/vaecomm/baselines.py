@@ -13,6 +13,11 @@ option uses coherent detection with perfect CSI (divide by h), the textbook
 reference receiver; the learned system never sees CSI, so the comparison is
 deliberately favourable to the baseline.
 
+SciPy is required, but only the analytic curves load it: ``qfunc`` imports
+``erfc`` on the first ``analytic_ber`` or ``analytic_ser`` call, which
+``vaecomm baseline`` makes on AWGN. ``import vaecomm`` and every other command
+run without SciPy, which would be most of a cold import's time.
+
 Each ``baseline_bler`` call logs one INFO line (constellation, Eb/N0, blocks,
 block errors, seconds, bits/s) on the ``vaecomm.baselines`` logger.
 """
@@ -25,7 +30,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from .channels import CHANNEL_KINDS, noise_variance
 from .curves import wilson_interval
@@ -40,6 +44,8 @@ CONSTELLATION_NAMES = ("qpsk", "16qam", "qam16")  # qam16 is another name for 16
 
 def qfunc(x):
     """Gaussian tail probability Q(x) = 0.5 erfc(x / sqrt(2))."""
+    from scipy.special import erfc  # SciPy loads here, on the first analytic curve
+
     return 0.5 * erfc(np.asarray(x, dtype=np.float64) / math.sqrt(2.0))
 
 

@@ -7,7 +7,8 @@ writes convert back exactly, and files that hold float64 values (written
 before the system switched to float32) load rounded to the nearest float32.
 
 Every malformed entry raises ``CheckpointError`` naming its field; so do
-weights and running statistics that are not all finite numbers.
+weights and running statistics that are not all finite numbers. The writer
+refuses such values under the same field names, before it opens the file.
 
 Version 2 stores the block length the system was trained at. Version 1
 files, which did not, still load, at the block length they always loaded
@@ -36,6 +37,16 @@ _NUMBER_TYPES = {int, float}  # what json.load returns for a number; bool is not
 
 
 def save_checkpoint(system: CommSystem, path: str) -> None:
+    """Write system to path. A non-finite weight or running statistic, which
+    the loader would refuse, raises CheckpointError naming its field before
+    the file is opened, so a checkpoint already at path is kept."""
+    arrays = [(f"layers[{name}].values", t.data) for name, t in system.named_parameters()]
+    for name, layer in system.layers_of(BatchNorm1D):
+        arrays += [(f"batchnorm_running_stats.{name}.mean", layer.running_mean),
+                   (f"batchnorm_running_stats.{name}.var", layer.running_var)]
+    for field, array in arrays:
+        if not np.isfinite(array).all():
+            raise CheckpointError(f"field '{field}': holds a non-finite value; not saved")
     cfg = system.config
     doc = {
         "format_version": FORMAT_VERSION,

@@ -165,7 +165,9 @@ class PowerNormalization:
 
     Normalization pools over (positions x channels) per batch item; the
     per_position flag restricts pooling to each position's channel vector,
-    which decouples positions entirely (used as a diagnostic).
+    which decouples positions entirely (used as a diagnostic). A block of
+    finite entries whose mean square overflows (entries past about 1.8e19 in
+    float32) is normalized from the block divided by its largest magnitude.
     """
 
     def __init__(self, per_position: bool = False):
@@ -175,19 +177,38 @@ class PowerNormalization:
         if x.ndim != 3:
             raise ShapeMismatchError(f"expected (batch, len, channels), got {x.shape}")
         axes = (2,) if self.per_position else (1, 2)
-        mean_sq = (x.data ** 2).mean(axis=axes, keepdims=True)
+        xd = x.data
+        with np.errstate(over="ignore"):  # an overflowing block is rescaled below
+            mean_sq = (xd ** 2).mean(axis=axes, keepdims=True)
         if np.any(mean_sq <= POWER_EPSILON):
             raise DegenerateSignalError("signal power below epsilon, cannot normalize")
+        peak = None
+        if np.isinf(mean_sq).any():
+            xd, mean_sq, peak = _divide_by_peak(xd, mean_sq, axes)
         scale = np.sqrt(1.0 / mean_sq)  # not 1 / sqrt: that can differ in the last bit
-        out = x.data * scale
+        out = xd * scale
         n = int(np.prod([x.shape[a] for a in axes]))
-        xd = x.data
 
         def grad(g):
             dot = (g * xd).sum(axis=axes, keepdims=True)
-            return (scale * (g - xd * dot / (n * mean_sq)),)
+            gx = scale * (g - xd * dot / (n * mean_sq))
+            return (gx if peak is None else gx / peak,)
 
         return from_op(out, (x,), grad)
+
+
+def _divide_by_peak(xd, mean_sq, axes):
+    """Each block whose mean square overflowed, though its entries are finite,
+    divided by its largest magnitude, so its squares cannot overflow; returns
+    the blocks, their mean squares and the divisors. The power norm of x/peak
+    is that of x, and its gradient is 1/peak times theirs. Other blocks are
+    divided by 1: their bits do not change, and non-finite entries stay."""
+    peak = np.abs(xd).max(axis=axes, keepdims=True)
+    peak[~(np.isinf(mean_sq) & np.isfinite(peak))] = 1.0
+    xd = xd / peak
+    with np.errstate(over="ignore"):
+        mean_sq = (xd ** 2).mean(axis=axes, keepdims=True)
+    return xd, mean_sq, peak
 
 
 def elu(x: Tensor) -> Tensor:

@@ -1,10 +1,15 @@
 import itertools
 import logging
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vaecomm
 from vaecomm import ConfigError, DomainError, ShapeMismatchError
 from vaecomm.baselines import (
     BaselineResult,
@@ -111,6 +116,43 @@ def test_qfunc_against_erfc_identity():
     xs = np.array([0.0, 1.0, 2.5])
     np.testing.assert_allclose(qfunc(xs)[0], 0.5, rtol=1e-15)
     assert np.all(np.diff(qfunc(xs)) < 0)
+
+
+# Run in a fresh interpreter: SciPy stays unloaded through `import vaecomm`
+# and `import vaecomm.cli`, loads on the first analytic curve, and the curves
+# are the erfc formulas bit for bit.
+_SCIPY_ON_DEMAND = """
+import math, sys
+import numpy as np
+import vaecomm
+assert "scipy" not in sys.modules, "import vaecomm loaded scipy"
+import vaecomm.cli
+assert "scipy" not in sys.modules, "import vaecomm.cli loaded scipy"
+from vaecomm import Constellation, analytic_ber, analytic_ser
+ebno = np.linspace(-4.0, 16.0, 41)
+ber = {name: analytic_ber(Constellation.by_name(name), ebno) for name in ("qpsk", "16qam")}
+assert "scipy.special" in sys.modules, "analytic_ber did not load scipy.special"
+ser = {name: analytic_ser(Constellation.by_name(name), ebno) for name in ("qpsk", "16qam")}
+from scipy.special import erfc
+g = 10.0 ** (ebno / 10.0)
+q_qpsk = 0.5 * erfc(np.sqrt(2.0 * g) / math.sqrt(2.0))
+q_16qam = 0.5 * erfc(np.sqrt(0.8 * g) / math.sqrt(2.0))
+assert np.array_equal(ber["qpsk"], q_qpsk)
+assert np.array_equal(ber["16qam"], 0.75 * q_16qam)
+assert np.array_equal(ser["qpsk"], 2.0 * q_qpsk - q_qpsk * q_qpsk)
+assert np.array_equal(ser["16qam"], 1.0 - (1.0 - 1.5 * q_16qam) ** 2)
+assert analytic_ber(Constellation.qpsk(), 7.0) == float(0.5 * erfc(math.sqrt(2.0 * 10.0 ** 0.7) / math.sqrt(2.0)))
+print("ok")
+"""
+
+
+def test_scipy_loads_only_with_the_first_analytic_curve():
+    src = str(Path(vaecomm.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_ON_DEMAND], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ok"]
 
 
 def test_qam16_always_worse_than_qpsk():

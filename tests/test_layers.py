@@ -370,6 +370,47 @@ def test_power_norm_gradients_match_finite_differences(per_position):
     assert report.passed, report.max_rel_err
 
 
+@pytest.mark.parametrize("per_position", [False, True])
+def test_power_norm_rescales_a_block_whose_mean_square_overflows(per_position):
+    # entries near 1e21 square past float32's range; block 0 is ordinary
+    rng = np.random.default_rng(15)
+    axes = (2,) if per_position else (1, 2)
+    x = (rng.normal(size=(3, 4, 2)) * 1e21).astype(np.float32)
+    x[0] = rng.normal(size=(4, 2))
+    probe = rng.normal(size=x.shape).astype(np.float32)
+    norm = PowerNormalization(per_position=per_position)
+
+    def forward_backward(data):
+        t = Tensor(data, requires_grad=True)
+        out = norm(t)
+        (out * Tensor(probe[: len(data)])).sum().backward()
+        return out.data, t.grad
+
+    out, grad = forward_backward(x)
+    assert out.dtype == grad.dtype == np.float32
+    x64, g64 = x.astype(np.float64), probe.astype(np.float64)
+    mean_sq = (x64 ** 2).mean(axis=axes, keepdims=True)
+    assert_close_f32(out, x64 / np.sqrt(mean_sq))
+    n = np.prod([x.shape[a] for a in axes])
+    expected = (g64 - x64 * (g64 * x64).sum(axis=axes, keepdims=True) / (n * mean_sq))
+    expected /= np.sqrt(mean_sq)
+    # the float32 backward cancels as much on either path; bound each block by its largest entry
+    peak = np.abs(expected).max(axis=axes, keepdims=True)
+    assert np.all(np.abs(grad - expected) <= 1e-5 * peak)
+    ordinary_out, ordinary_grad = forward_backward(x[:1])  # takes the plain path on its own
+    np.testing.assert_array_equal(out[:1], ordinary_out)
+    np.testing.assert_array_equal(grad[:1], ordinary_grad)
+
+
+def test_power_norm_passes_a_non_finite_entry_through():
+    x = np.ones((2, 3, 2), dtype=np.float32)
+    x[1, 0, 0] = np.inf
+    with np.errstate(invalid="ignore"):
+        out = PowerNormalization()(Tensor(x)).data
+    np.testing.assert_array_equal(out[0], np.ones((3, 2), dtype=np.float32))
+    assert not np.isfinite(out[1]).all()
+
+
 # -- activations and softmax ---------------------------------------------------
 
 

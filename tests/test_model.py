@@ -291,6 +291,24 @@ def test_identical_symbols_map_to_identical_signals_per_position():
         np.testing.assert_array_equal(signal.data[0, pos], first)
 
 
+def test_an_overflowing_latent_is_sent_at_unit_power():
+    # mu entries near 1e20: their squares overflow float32, yet each block is
+    # normalized to mean square 1 instead of being scaled to 0
+    cfg = SystemConfig(k=2, n=1, latent_multiplier=2, hidden_filters=8, block_length=4, seed=1)
+    sys_ = CommSystem(cfg)
+    sys_.mu_head.weight.data[:] = 1e21
+    sys_.eval_mode()
+    book = sys_.codebook(cfg.M)
+    symbols = np.random.default_rng(16).integers(0, cfg.M, size=(32, cfg.block_length))
+    with np.errstate(over="ignore"):
+        assert np.isinf((book[symbols] ** 2).mean(axis=(1, 2))).all()
+    signal = sys_.encode(book, symbols).data
+    latent = book.astype(np.float64)[symbols]
+    assert_close_f32(signal, latent / np.sqrt((latent ** 2).mean(axis=(1, 2), keepdims=True)))
+    mean_sq = (signal.astype(np.float64) ** 2).mean(axis=(1, 2))
+    assert np.all(np.abs(mean_sq - 1.0) <= F32_TOL)
+
+
 # -- checkpoints -------------------------------------------------------------------------
 
 
@@ -344,6 +362,22 @@ def test_checkpoint_loaded_system_predicts_identically(tmp_path):
     a, _, _ = sys_.transmit(x)
     b, _, _ = loaded.transmit(x)
     np.testing.assert_array_equal(a.data, b.data)
+
+
+@pytest.mark.parametrize("field", ["layers[tx_conv1.weight].values",
+                                   "batchnorm_running_stats.rx_bn.var"])
+def test_save_refuses_a_non_finite_value_and_keeps_the_old_file(tmp_path, field):
+    sys_ = CommSystem(desk_config(seed=15))
+    path = tmp_path / "m.json"
+    save_checkpoint(sys_, str(path))
+    before = path.read_bytes()
+    if field.startswith("layers"):
+        sys_.tx_conv1.weight.data.flat[3] = np.nan
+    else:
+        sys_.rx_bn.running_var[1] = np.inf
+    with pytest.raises(CheckpointError, match=re.escape(f"field '{field}'")):
+        save_checkpoint(sys_, str(path))
+    assert path.read_bytes() == before
 
 
 def test_checkpoint_missing_file():
