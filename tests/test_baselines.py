@@ -141,7 +141,8 @@ assert np.array_equal(ber["qpsk"], q_qpsk)
 assert np.array_equal(ber["16qam"], 0.75 * q_16qam)
 assert np.array_equal(ser["qpsk"], 2.0 * q_qpsk - q_qpsk * q_qpsk)
 assert np.array_equal(ser["16qam"], 1.0 - (1.0 - 1.5 * q_16qam) ** 2)
-assert analytic_ber(Constellation.qpsk(), 7.0) == float(0.5 * erfc(math.sqrt(2.0 * 10.0 ** 0.7) / math.sqrt(2.0)))
+scalar = analytic_ber(Constellation.qpsk(), 7.0)
+assert scalar == float(0.5 * erfc(math.sqrt(2.0 * 10.0 ** 0.7) / math.sqrt(2.0)))
 print("ok")
 """
 
