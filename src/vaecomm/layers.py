@@ -165,9 +165,11 @@ class PowerNormalization:
 
     Normalization pools over (positions x channels) per batch item; the
     per_position flag restricts pooling to each position's channel vector,
-    which decouples positions entirely (used as a diagnostic). A block of
-    finite entries whose mean square overflows (entries past about 1.8e19 in
-    float32) is normalized from the block divided by its largest magnitude.
+    which decouples positions entirely (used as a diagnostic). Each block is
+    first divided by the power of two just above its largest magnitude, and
+    its gradient is scaled back by the same power. Scaling by a power of two
+    is exact, so ordinary blocks keep every bit, and no square, mean square
+    or backward product of a block of finite entries can overflow.
     """
 
     def __init__(self, per_position: bool = False):
@@ -177,38 +179,23 @@ class PowerNormalization:
         if x.ndim != 3:
             raise ShapeMismatchError(f"expected (batch, len, channels), got {x.shape}")
         axes = (2,) if self.per_position else (1, 2)
-        xd = x.data
-        with np.errstate(over="ignore"):  # an overflowing block is rescaled below
-            mean_sq = (xd ** 2).mean(axis=axes, keepdims=True)
-        if np.any(mean_sq <= POWER_EPSILON):
+        _, exp2 = np.frexp(np.abs(x.data).max(axis=axes, keepdims=True))
+        xd = np.ldexp(x.data, -exp2)
+        mean_sq = (xd ** 2).mean(axis=axes, keepdims=True)
+        # the unscaled mean square, exact in float64; one of a block with a
+        # peak of 1/2 or more is at least 1/(4n), above epsilon, and is not
+        # scaled back, so a float64 block cannot overflow here
+        if np.any(np.ldexp(mean_sq.astype(np.float64), 2 * np.minimum(exp2, 0)) <= POWER_EPSILON):
             raise DegenerateSignalError("signal power below epsilon, cannot normalize")
-        peak = None
-        if np.isinf(mean_sq).any():
-            xd, mean_sq, peak = _divide_by_peak(xd, mean_sq, axes)
         scale = np.sqrt(1.0 / mean_sq)  # not 1 / sqrt: that can differ in the last bit
         out = xd * scale
         n = int(np.prod([x.shape[a] for a in axes]))
 
         def grad(g):
             dot = (g * xd).sum(axis=axes, keepdims=True)
-            gx = scale * (g - xd * dot / (n * mean_sq))
-            return (gx if peak is None else gx / peak,)
+            return (np.ldexp(scale * (g - xd * dot / (n * mean_sq)), -exp2),)
 
         return from_op(out, (x,), grad)
-
-
-def _divide_by_peak(xd, mean_sq, axes):
-    """Each block whose mean square overflowed, though its entries are finite,
-    divided by its largest magnitude, so its squares cannot overflow; returns
-    the blocks, their mean squares and the divisors. The power norm of x/peak
-    is that of x, and its gradient is 1/peak times theirs. Other blocks are
-    divided by 1: their bits do not change, and non-finite entries stay."""
-    peak = np.abs(xd).max(axis=axes, keepdims=True)
-    peak[~(np.isinf(mean_sq) & np.isfinite(peak))] = 1.0
-    xd = xd / peak
-    with np.errstate(over="ignore"):
-        mean_sq = (xd ** 2).mean(axis=axes, keepdims=True)
-    return xd, mean_sq, peak
 
 
 def elu(x: Tensor) -> Tensor:

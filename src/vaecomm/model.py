@@ -26,7 +26,7 @@ full-chunk activation is allocated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -65,6 +65,10 @@ class SystemConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
         if not 1 <= self.k <= 16:
             raise ConfigError(f"k must be in [1, 16], got {self.k}")
         if self.n < 1:
@@ -287,7 +291,12 @@ class CommSystem:
 
     def encode(self, codebook: np.ndarray, symbols: np.ndarray) -> Tensor:
         """Integer symbols (batch, L) to the power-normalized signal: a gather
-        from ``codebook(...)`` and the power norm, equal to eval-mode transmit."""
+        from ``codebook(...)`` and the power norm, equal to eval-mode transmit.
+        A symbol outside [0, M) raises DomainError."""
+        lo, hi = symbols.min(initial=0), symbols.max(initial=0)
+        if lo < 0 or hi >= self.config.M:
+            bad = lo if lo < 0 else hi
+            raise DomainError(f"symbols must be in [0, {self.config.M}), got {bad}")
         return self.power_norm(Tensor(codebook[symbols]))
 
     def decide(self, y: Tensor) -> np.ndarray:

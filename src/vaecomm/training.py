@@ -56,34 +56,30 @@ class TrainingLog:
 def clip_global_norm(params, max_norm: float) -> float:
     """Scale all gradients so their joint L2 norm is at most max_norm.
 
-    Returns the norm before scaling. If the plain sum of squares overflows,
-    the norm is taken again on the gradients divided by their largest
-    magnitude. A norm that is still not finite (an inf or NaN entry, or a
-    norm past the float64 range) leaves the gradients as they are.
+    Returns the norm before scaling. The sum of squares is taken on the
+    gradients divided by the power of two just above their largest
+    magnitude, so no square can overflow, and the norm is scaled back by the
+    same power; scaling by a power of two is exact, so ordinary gradients
+    give the norm of the plain sum of squares bit for bit. A norm that is
+    not finite (an inf or NaN entry, or a norm past the float64 range) is
+    returned with the gradients left as they are.
     """
     grads = [p.grad for p in params if p.grad is not None]
+    peak = float(np.max([np.abs(g).max() for g in grads if g.size], initial=0.0))
+    if not np.isfinite(peak):
+        return peak
+    _, exp2 = np.frexp(peak)
     total = 0.0
-    with np.errstate(over="ignore"):  # an overflow is handled below
-        for g in grads:
-            total += float((g * g).sum())
-    norm = float(np.sqrt(total))
-    if norm == np.inf:
-        norm = _max_scaled_norm(grads)
+    for g in grads:
+        scaled = np.ldexp(g, -exp2)
+        total += float(np.square(scaled, out=scaled).sum())
+    norm = float(np.ldexp(np.sqrt(total), exp2))
     if max_norm < norm < np.inf:
         scale = max_norm / norm
         for p in params:
             if p.grad is not None:
                 p.grad = p.grad * scale
     return norm
-
-
-def _max_scaled_norm(grads) -> float:
-    """L2 norm as peak * sqrt(sum((g / peak)^2)): squares of entries up to
-    the peak cannot overflow. Inf if any entry is inf."""
-    peak = max(float(np.abs(g).max()) for g in grads if g.size)
-    if peak == np.inf:
-        return peak
-    return peak * float(np.sqrt(sum(float(np.square(g / peak).sum()) for g in grads)))
 
 
 def train(system: CommSystem, dataset: Dataset, *, epochs: int, batch_size: int = 64,

@@ -290,6 +290,19 @@ def test_sweep_corrupt_checkpoint(tmp_path, capsys):
     assert "bad.json" in capsys.readouterr().err
 
 
+def test_sweep_refuses_a_checkpoint_with_a_float_in_an_integer_field(tmp_path, capsys):
+    _, ckpt = run_train(tmp_path)
+    doc = json.loads(ckpt.read_text())
+    doc["config"]["n"] = 1.0
+    ckpt.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = main(["sweep", "--checkpoint", str(ckpt), "--ebno", "5:6:1", "--blocks", "4",
+                 "--out", str(tmp_path / "c.csv")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error:") and "config" in err and "n must be an integer" in err
+
+
 def test_sweep_json_output(tmp_path, capsys):
     _, ckpt = run_train(tmp_path)
     out = tmp_path / "curve.json"

@@ -397,9 +397,30 @@ def test_power_norm_rescales_a_block_whose_mean_square_overflows(per_position):
     # the float32 backward cancels as much on either path; bound each block by its largest entry
     peak = np.abs(expected).max(axis=axes, keepdims=True)
     assert np.all(np.abs(grad - expected) <= 1e-5 * peak)
-    ordinary_out, ordinary_grad = forward_backward(x[:1])  # takes the plain path on its own
+    ordinary_out, ordinary_grad = forward_backward(x[:1])  # normalized on its own
     np.testing.assert_array_equal(out[:1], ordinary_out)
     np.testing.assert_array_equal(grad[:1], ordinary_grad)
+
+
+def test_power_norm_backward_stays_finite_on_a_block_near_the_overflow_edge():
+    # the mean square, 1.06e38, is finite, but the backward's product of the
+    # last entry and the dot product is not in float32 unless the block is scaled
+    x = np.array([7.6e18, -3.2e18, 1.58e19], dtype=np.float32).reshape(1, 1, 3)
+    g = np.array([0.41, 1.78, -1.70], dtype=np.float32).reshape(1, 1, 3)
+    t = Tensor(x, requires_grad=True)
+    (PowerNormalization(per_position=True)(t) * Tensor(g)).sum().backward()
+    assert t.grad.dtype == np.float32 and np.isfinite(t.grad).all()
+    x64, g64 = x.astype(np.float64), g.astype(np.float64)
+    mean_sq = (x64 ** 2).mean()
+    expected = (g64 - x64 * (g64 * x64).sum() / (3 * mean_sq)) / np.sqrt(mean_sq)
+    assert np.all(np.abs(t.grad - expected) <= 1e-5 * np.abs(expected).max())
+
+
+def test_power_norm_normalizes_a_float64_block_past_the_float64_square_range():
+    x = np.array([[[3e200, -4e200], [1e200, 2.0]]])
+    out = PowerNormalization()(Tensor(x)).data
+    # mean square (9 + 16 + 1) / 4 * 1e400, past float64's range
+    np.testing.assert_allclose(out, x / 1e200 / np.sqrt(6.5), rtol=1e-15)
 
 
 def test_power_norm_passes_a_non_finite_entry_through():

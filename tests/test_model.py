@@ -66,6 +66,14 @@ def test_config_rejects_bad_channel_and_sizes():
         SystemConfig(k=4, n=2, beta=-1.0)
 
 
+@pytest.mark.parametrize("field, value", [("k", True), ("n", 1.0), ("block_length", 4.0),
+                                          ("latent_multiplier", 2.0), ("hidden_filters", "8"),
+                                          ("seed", False), ("seed", np.int64(3))])
+def test_config_rejects_a_non_int_in_an_integer_field(field, value):
+    with pytest.raises(ConfigError, match=field):
+        desk_config(**{field: value})
+
+
 # -- build -----------------------------------------------------------------------
 
 
@@ -291,6 +299,16 @@ def test_identical_symbols_map_to_identical_signals_per_position():
         np.testing.assert_array_equal(signal.data[0, pos], first)
 
 
+@pytest.mark.parametrize("bad", [-1, 16])
+def test_encode_rejects_a_symbol_outside_the_alphabet(bad):
+    sys_ = CommSystem(desk_config()).eval_mode()
+    book = sys_.codebook(sys_.config.M)
+    symbols = np.zeros((2, sys_.config.block_length), dtype=np.int64)
+    symbols[1, 3] = bad
+    with pytest.raises(DomainError, match=str(bad)):
+        sys_.encode(book, symbols)
+
+
 def test_an_overflowing_latent_is_sent_at_unit_power():
     # mu entries near 1e20: their squares overflow float32, yet each block is
     # normalized to mean square 1 instead of being scaled to 0
@@ -425,6 +443,9 @@ def test_checkpoint_error_names_offending_field(tmp_path):
 
 
 @pytest.mark.parametrize("path, value, field", [
+    (("config", "block_length"), 4.0, "config"),
+    (("config", "n"), 1.0, "config"),
+    (("config", "k"), True, "config"),
     (("layers", 0, "shape"), 5, "shape"),
     (("layers", 0, "shape"), None, "shape"),
     (("layers", 0, "values", 0), "a", "values"),
