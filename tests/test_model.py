@@ -443,9 +443,6 @@ def test_checkpoint_error_names_offending_field(tmp_path):
 
 
 @pytest.mark.parametrize("path, value, field", [
-    (("config", "block_length"), 4.0, "config"),
-    (("config", "n"), 1.0, "config"),
-    (("config", "k"), True, "config"),
     (("layers", 0, "shape"), 5, "shape"),
     (("layers", 0, "shape"), None, "shape"),
     (("layers", 0, "values", 0), "a", "values"),
@@ -460,6 +457,9 @@ def test_checkpoint_error_names_offending_field(tmp_path):
     (("layers", 0, "values", 0), True, "values"),
     (("batchnorm_running_stats", "tx_bn", "mean", 0), True, "tx_bn.mean"),
     (("batchnorm_running_stats", "rx_bn", "var", 0), "1.5", "rx_bn.var"),
+    (("config", "block_length"), 4.0, "config"),
+    (("config", "n"), 1.0, "config"),
+    (("config", "k"), True, "config"),
 ])
 def test_malformed_checkpoint_entries_raise_checkpoint_error(tmp_path, path, value, field):
     saved = tmp_path / "m.json"
