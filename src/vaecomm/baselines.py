@@ -18,6 +18,18 @@ SciPy is required, but only the analytic curves load it: ``qfunc`` imports
 ``vaecomm baseline`` makes on AWGN. ``import vaecomm`` and every other command
 run without SciPy, which would be most of a cold import's time.
 
+Hard decisions are nearest-point decisions by complex distance, with ties
+taken by the lowest point index. A square constellation whose index is its I
+label followed by its Q label, as both of these are, splits into two PAM
+ladders, so the nearest point is the nearest I level and the nearest Q level,
+each decided from its own axis by comparisons with the midpoints between
+levels. The slicer gives the distance search's decisions by construction: an
+entry within a guard band of a midpoint, scaled to the square of the
+symbol's largest axis magnitude, and every non-finite or huge entry are
+decided by the distance search itself. So a tie, which sits on a midpoint,
+still goes to the lowest point index. A constellation without that structure,
+or with levels outside [-2, 2] or closer than 1/4, uses the search alone.
+
 Each ``baseline_bler`` call logs one INFO line (constellation, Eb/N0, blocks,
 block errors, seconds, bits/s) on the ``vaecomm.baselines`` logger.
 """
@@ -89,18 +101,113 @@ def modulate(c: Constellation, bits: np.ndarray) -> np.ndarray:
         )
     if not np.all((bits == 0) | (bits == 1)):
         raise DomainError("bits must be 0 or 1")
+    return c.points[_point_index(c, bits)]
+
+
+def _point_index(c: Constellation, bits: np.ndarray) -> np.ndarray:
+    """MSB-first integer value of each group of bits_per_symbol bits."""
     groups = bits.reshape(-1, c.bits_per_symbol)
-    weights = 1 << np.arange(c.bits_per_symbol - 1, -1, -1)
-    return c.points[groups @ weights]
+    idx = groups[:, 0]
+    for j in range(1, c.bits_per_symbol):
+        idx = (idx << 1) | groups[:, j]
+    return idx
 
 
 def demodulate_hard(c: Constellation, symbols: np.ndarray) -> np.ndarray:
-    """Nearest-point decisions back to bits; ties take the lowest index."""
-    symbols = np.asarray(symbols, dtype=np.complex128).ravel()
-    d2 = np.abs(symbols[:, None] - c.points[None, :]) ** 2
-    idx = np.argmin(d2, axis=1)
+    """Nearest-point decisions back to bits; ties take the lowest index.
+
+    The I and Q levels are sliced per axis, and entries within a guard band of
+    a midpoint, or not finite, go through the complex distance search; see the
+    module docstring. The bits equal those of the distance search alone.
+    """
+    idx = _decide(c, np.asarray(symbols, dtype=np.complex128).ravel())
+    return _index_bits(c, idx).astype(np.int64)
+
+
+def _index_bits(c: Constellation, idx: np.ndarray) -> np.ndarray:
+    """The bits of each index, MSB first, as one flat array."""
     shifts = np.arange(c.bits_per_symbol - 1, -1, -1)
-    return ((idx[:, None] >> shifts) & 1).reshape(-1).astype(np.int64)
+    return ((idx[:, None] >> shifts) & 1).reshape(-1)
+
+
+def _nearest(c: Constellation, symbols: np.ndarray) -> np.ndarray:
+    """Point index at the least complex distance; ties take the lowest index."""
+    return np.argmin(np.abs(symbols[:, None] - c.points[None, :]) ** 2, axis=1)
+
+
+# When the slicer may decide. The search rounds each squared distance
+# |y - p|^2 by a few ulps, and with levels in [-2, 2] that distance is at most
+# 20 max(1, s)^2, where s = max(|Re y|, |Im y|). With levels at least 1/4
+# apart, an entry m from every midpoint has every other point at least m/2
+# farther than its nearest one. So once m > _GUARD * max(1, s)^2, some 100
+# times the rounding of two distances at 8 ulps each, the slicer's point is
+# the search's. Past _SLICE_LIMIT the squared distances may overflow, and
+# the search alone decides.
+_GUARD = 2.0 ** -36
+_SLICE_LIMIT = 2.0 ** 500
+
+
+def _ladder(levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The midpoints between the sorted levels, and the label at each position."""
+    labels = np.argsort(levels)
+    ordered = levels[labels]
+    return (ordered[:-1] + ordered[1:]) / 2, labels
+
+
+def _square_ladders(c: Constellation) -> list[tuple[np.ndarray, np.ndarray]] | None:
+    """The I and Q ladders of c, or None when the slicer does not apply.
+
+    It applies when the point index is the I label followed by the Q label
+    and the levels of each axis lie in [-2, 2], at least 1/4 apart.
+    """
+    if c.bits_per_symbol % 2:
+        return None
+    side = np.arange(1 << c.bits_per_symbol // 2)
+    i_levels, q_levels = c.points[side * side.size].real, c.points[side].imag
+    grid = (i_levels[:, None] + 1j * q_levels[None, :]).ravel()
+    if not np.array_equal(grid, c.points):
+        return None
+    for levels in (i_levels, q_levels):
+        ordered = np.sort(levels)
+        if np.abs(ordered).max() > 2.0 or np.diff(ordered).min() < 0.25:
+            return None
+    return [_ladder(i_levels), _ladder(q_levels)]
+
+
+def _slice(x: np.ndarray, midpoints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each entry's level position (the midpoints below it) and its distance
+    to the nearest midpoint. A tie at a midpoint lies inside every guard band,
+    so the distance search, not the position, decides it."""
+    pos = np.zeros(x.shape, dtype=np.intp)
+    margin = np.full(x.shape, np.inf)
+    for m in midpoints:
+        pos += x > m
+        np.minimum(margin, np.abs(x - m), out=margin)
+    return pos, margin
+
+
+def _decide(c: Constellation, symbols: np.ndarray) -> np.ndarray:
+    """Point index of each flat complex symbol, equal to ``_nearest``'s."""
+    ladders = _square_ladders(c)
+    if ladders is None:
+        return _nearest(c, symbols)
+    (i_mid, i_labels), (q_mid, q_labels) = ladders
+    x, y = symbols.real, symbols.imag
+    i_pos, i_margin = _slice(x, i_mid)
+    q_pos, q_margin = _slice(y, q_mid)
+    side = i_labels.size
+    idx = (i_labels[:, None] * side + q_labels[None, :]).ravel()[i_pos * side + q_pos]
+
+    scale = np.maximum(np.abs(x), np.abs(y))
+    sure = scale <= _SLICE_LIMIT  # False for NaN and inf
+    np.clip(scale, 1.0, _SLICE_LIMIT, out=scale)
+    band = scale * scale * _GUARD
+    sure &= i_margin > band
+    sure &= q_margin > band
+    unsure = np.flatnonzero(~sure)
+    if unsure.size:
+        idx[unsure] = _nearest(c, symbols[unsure])
+    return idx
 
 
 def analytic_ber(c: Constellation, ebno_db) -> float | np.ndarray:
@@ -143,6 +250,14 @@ class BaselineResult:
     bits: int
 
 
+def _complex(re: np.ndarray, im: np.ndarray, scale: float) -> np.ndarray:
+    """(re + 1j * im) * scale, bit for bit, without the complex temporaries."""
+    out = np.empty(re.shape, dtype=np.complex128)
+    np.multiply(re, scale, out=out.real)
+    np.multiply(im, scale, out=out.imag)
+    return out
+
+
 def baseline_bler(c: Constellation, ebno_db: float, k: int, L: int, n_blocks: int,
                   seed: int, channel: str = "awgn",
                   chunk_blocks: int = 4096) -> BaselineResult:
@@ -153,6 +268,11 @@ def baseline_bler(c: Constellation, ebno_db: float, k: int, L: int, n_blocks: in
     to the constellation's bits per channel use. A block errs when any of its
     L message symbols errs; a message symbol errs when any of its k bits does.
     """
+    sizes = {"k": k, "L": L, "n_blocks": n_blocks, "chunk_blocks": chunk_blocks}
+    for name, value in sizes.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise DomainError(f"{name} must be an integer, got {value!r}")
+    k, L, n_blocks, chunk_blocks = (int(v) for v in sizes.values())
     if k < 1 or L < 1 or n_blocks < 1:
         raise DomainError(f"k, L, n_blocks must be positive, got {k}, {L}, {n_blocks}")
     if chunk_blocks < 1:
@@ -168,6 +288,8 @@ def baseline_bler(c: Constellation, ebno_db: float, k: int, L: int, n_blocks: in
     sigma = math.sqrt(noise_variance(ebno_db, float(c.bits_per_symbol)))
     rng = np.random.default_rng(seed)
     bits_per_block = k * L
+    uses_per_message, ragged = divmod(k, c.bits_per_symbol)
+    popcount = np.array([bin(i).count("1") for i in range(c.points.size)])
     block_errors = 0
     symbol_errors = 0
     bit_errors = 0
@@ -176,19 +298,26 @@ def baseline_bler(c: Constellation, ebno_db: float, k: int, L: int, n_blocks: in
     while done < n_blocks:
         nb = min(chunk_blocks, n_blocks - done)
         bits = rng.integers(0, 2, size=nb * bits_per_block)
-        tx = modulate(c, bits)
-        noise = (rng.standard_normal(tx.shape) + 1j * rng.standard_normal(tx.shape)) * sigma
+        sent = _point_index(c, bits)
+        tx = c.points[sent]
+        noise = _complex(rng.standard_normal(tx.shape), rng.standard_normal(tx.shape), sigma)
         if channel == "rayleigh":
-            h = (rng.standard_normal(tx.shape) + 1j * rng.standard_normal(tx.shape)) * math.sqrt(0.5)
+            h = _complex(rng.standard_normal(tx.shape), rng.standard_normal(tx.shape),
+                         math.sqrt(0.5))
             rx = (h * tx + noise) / h  # perfect-CSI coherent equalization
         else:
             rx = tx + noise
-        decided = demodulate_hard(c, rx)
-        wrong = (decided != bits).reshape(nb, L, k)
-        bit_errors += int(wrong.sum())
-        sym_wrong = wrong.any(axis=2)
-        symbol_errors += int(sym_wrong.sum())
-        block_errors += int(sym_wrong.any(axis=1).sum())
+        wrong = sent ^ _decide(c, rx)  # the wrong bits of each constellation symbol
+        bit_errors += int(popcount[wrong].sum())
+        if ragged:  # a message symbol straddles constellation symbols
+            sym_wrong = _index_bits(c, wrong).reshape(nb, L, k).any(axis=2)
+        else:
+            sym_wrong = wrong[::uses_per_message].copy()
+            for j in range(1, uses_per_message):
+                sym_wrong |= wrong[j::uses_per_message]
+            sym_wrong = sym_wrong.reshape(nb, L) != 0
+        symbol_errors += int(np.count_nonzero(sym_wrong))
+        block_errors += int(np.count_nonzero(sym_wrong.any(axis=1)))
         done += nb
 
     seconds = time.perf_counter() - start

@@ -8,6 +8,7 @@ noise, and latent sampling each own an independent derived stream.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -68,13 +69,16 @@ def clip_global_norm(params, max_norm: float) -> float:
     peak = float(np.max([np.abs(g).max() for g in grads if g.size], initial=0.0))
     if not np.isfinite(peak):
         return peak
-    _, exp2 = np.frexp(peak)
+    _, exp2 = math.frexp(peak)
     total = 0.0
     for g in grads:
         scaled = np.ldexp(g, -exp2)
         total += float(np.square(scaled, out=scaled).sum())
-    norm = float(np.ldexp(np.sqrt(total), exp2))
-    if max_norm < norm < np.inf:
+    try:
+        norm = math.ldexp(math.sqrt(total), exp2)
+    except OverflowError:  # the norm is past the float64 range
+        return math.inf
+    if norm > max_norm:
         scale = max_norm / norm
         for p in params:
             if p.grad is not None:

@@ -21,6 +21,7 @@ from vaecomm.baselines import (
     modulate,
     qfunc,
 )
+from vaecomm.baselines import _square_ladders
 from vaecomm.curves import BlerCurve, BlerPoint, wilson_interval, write_table
 
 
@@ -99,6 +100,79 @@ def test_demodulate_tie_breaks_to_lowest_index():
     c = Constellation.qpsk()
     bits = demodulate_hard(c, np.array([0.0 + 0.0j]))  # equidistant from all
     np.testing.assert_array_equal(bits, [0, 0])
+
+
+def distance_search(c, symbols):
+    """The reference decision: least complex distance, ties to the lowest index."""
+    symbols = np.asarray(symbols, dtype=np.complex128).ravel()
+    return np.argmin(np.abs(symbols[:, None] - c.points[None, :]) ** 2, axis=1)
+
+
+def index_bits(c, idx):
+    shifts = np.arange(c.bits_per_symbol - 1, -1, -1)
+    return ((np.asarray(idx)[:, None] >> shifts) & 1).reshape(-1)
+
+
+def adversarial_axis_values(c):
+    """Each midpoint between levels, negated, with its two neighbours per side,
+    the levels themselves, and signed zeros."""
+    levels = np.unique(c.points.real)
+    mids = (levels[:-1] + levels[1:]) / 2
+    values = [0.0, -0.0, *levels, *mids, *-mids]
+    for v in list(values):
+        up = np.nextafter(v, np.inf)
+        down = np.nextafter(v, -np.inf)
+        values += [up, down, np.nextafter(up, np.inf), np.nextafter(down, -np.inf)]
+    return np.array(values)
+
+
+def pairs(parts):
+    """Every complex(a, b) for a, b in parts; 1j * inf would make a NaN real part."""
+    grid = np.empty((parts.size, parts.size), dtype=np.complex128)
+    grid.real, grid.imag = parts[:, None], parts[None, :]
+    return grid.ravel()
+
+
+@pytest.mark.parametrize("name", ["qpsk", "16qam"])
+def test_demodulate_matches_the_distance_search_on_random_symbols(name):
+    c = Constellation.by_name(name)
+    rng = np.random.default_rng(21)
+    for scale in (1e-3, 0.1, 0.5, 1.0, 2.0, 1e3, 1e6, 1e9, 1e12, 1e150):
+        symbols = (rng.standard_normal(20_000) + 1j * rng.standard_normal(20_000)) * scale
+        np.testing.assert_array_equal(demodulate_hard(c, symbols),
+                                      index_bits(c, distance_search(c, symbols)))
+
+
+@pytest.mark.parametrize("name", ["qpsk", "16qam"])
+def test_demodulate_matches_the_distance_search_at_thresholds_and_extremes(name):
+    c = Constellation.by_name(name)
+    axis = adversarial_axis_values(c)
+    big = np.array([1e6, 1e12, 1e100, 1e150, 3.2e150])
+    extremes = np.array([np.nan, np.inf, -np.inf])
+    rng = np.random.default_rng(5)
+    near = np.concatenate([axis + rng.normal(scale=1e-12, size=axis.size),
+                           axis * (1 + rng.normal(scale=1e-15, size=axis.size))])
+    grid = np.concatenate([pairs(np.concatenate([axis, big, -big, extremes])), pairs(near)])
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        got = demodulate_hard(c, grid)
+    np.testing.assert_array_equal(got, index_bits(c, distance_search(c, grid)))
+
+
+def test_demodulate_searches_a_constellation_without_square_ladders():
+    rng = np.random.default_rng(8)
+    qpsk = Constellation.qpsk().points
+    shapes = [
+        Constellation("rotated qpsk", qpsk * np.exp(0.25j * np.pi), 2),
+        Constellation("relabelled qpsk", qpsk[[0, 3, 1, 2]], 2),
+        Constellation("qpsk at 10x amplitude", qpsk * 10.0, 2),
+        Constellation("qpsk at 0.1x amplitude", qpsk * 0.1, 2),
+        Constellation("8 points", np.exp(2j * np.pi * np.arange(8) / 8), 3),
+    ]
+    symbols = rng.standard_normal(5_000) + 1j * rng.standard_normal(5_000)
+    for c in shapes:
+        assert _square_ladders(c) is None, c.name
+        np.testing.assert_array_equal(demodulate_hard(c, symbols),
+                                      index_bits(c, distance_search(c, symbols)))
 
 
 # -- analytic curves --------------------------------------------------------------------
@@ -244,6 +318,64 @@ def test_baseline_rejects_chunk_blocks_below_one(chunk_blocks):
     with pytest.raises(DomainError, match="chunk_blocks"):
         baseline_bler(Constellation.qpsk(), 4.0, k=2, L=4, n_blocks=10, seed=0,
                       chunk_blocks=chunk_blocks)
+
+
+# (block, symbol, bit) errors of baseline_bler(c, ebno, k, L=4, n_blocks=2500,
+# seed=7, channel, chunk_blocks=1000), recorded from the distance-search
+# demodulator. A change to any draw or decision changes them.
+PINNED_COUNTS = {
+    ("qpsk", "awgn", 0.0, 3): (1546, 2165, 2336),
+    ("qpsk", "awgn", 0.0, 4): (1801, 2740, 3092),
+    ("qpsk", "awgn", 0.0, 8): (2316, 4838, 6285),
+    ("qpsk", "awgn", 6.0, 3): (78, 79, 79),
+    ("qpsk", "awgn", 6.0, 4): (88, 88, 88),
+    ("qpsk", "awgn", 6.0, 8): (193, 203, 203),
+    ("qpsk", "rayleigh", 0.0, 3): (2089, 3648, 4365),
+    ("qpsk", "rayleigh", 0.0, 4): (2271, 4479, 5852),
+    ("qpsk", "rayleigh", 0.0, 8): (2480, 6961, 11699),
+    ("qpsk", "rayleigh", 6.0, 3): (1146, 1422, 1579),
+    ("qpsk", "rayleigh", 6.0, 4): (1385, 1851, 2170),
+    ("qpsk", "rayleigh", 6.0, 8): (2058, 3428, 4356),
+    ("16qam", "awgn", 0.0, 3): (2145, 3781, 4171),
+    ("16qam", "awgn", 0.0, 4): (2330, 4789, 5624),
+    ("16qam", "awgn", 0.0, 8): (2492, 7265, 11254),
+    ("16qam", "awgn", 6.0, 3): (699, 790, 801),
+    ("16qam", "awgn", 6.0, 4): (934, 1087, 1125),
+    ("16qam", "awgn", 6.0, 8): (1510, 2062, 2235),
+    ("16qam", "rayleigh", 0.0, 3): (2260, 4628, 5861),
+    ("16qam", "rayleigh", 0.0, 4): (2414, 5505, 8013),
+    ("16qam", "rayleigh", 0.0, 8): (2498, 7990, 15976),
+    ("16qam", "rayleigh", 6.0, 3): (1465, 2218, 2571),
+    ("16qam", "rayleigh", 6.0, 4): (1814, 2744, 3612),
+    ("16qam", "rayleigh", 6.0, 8): (2286, 4660, 7103),
+}
+
+
+@pytest.mark.parametrize("key", list(PINNED_COUNTS), ids=lambda key: "-".join(map(str, key)))
+def test_baseline_counts_are_pinned(key):
+    name, channel, ebno, k = key
+    r = baseline_bler(Constellation.by_name(name), ebno, k=k, L=4, n_blocks=2500, seed=7,
+                      channel=channel, chunk_blocks=1000)
+    assert (r.block_errors, r.symbol_errors, r.bit_errors) == PINNED_COUNTS[key]
+
+
+@pytest.mark.parametrize("arg, value", [
+    ("k", 4.0), ("k", True), ("L", 10.0), ("n_blocks", 2.5), ("n_blocks", True),
+    ("chunk_blocks", 2.5), ("chunk_blocks", False), ("n_blocks", "10"),
+])
+def test_baseline_rejects_a_non_integer_size(arg, value):
+    sizes = dict(k=4, L=10, n_blocks=10, chunk_blocks=4096) | {arg: value}
+    with pytest.raises(DomainError, match=f"{arg} must be an integer"):
+        baseline_bler(Constellation.qpsk(), 4.0, seed=0, **sizes)
+
+
+def test_baseline_accepts_numpy_integer_sizes():
+    c = Constellation.qpsk()
+    want = baseline_bler(c, 4.0, k=4, L=10, n_blocks=300, seed=0, chunk_blocks=128)
+    got = baseline_bler(c, 4.0, k=np.int64(4), L=np.int32(10), n_blocks=np.int64(300), seed=0,
+                        chunk_blocks=np.uint16(128))
+    assert got == want
+    assert type(got.blocks) is int
 
 
 # -- intervals and serialization ------------------------------------------------------------

@@ -5,6 +5,7 @@ import json
 import logging
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -304,6 +305,39 @@ def test_clip_global_norm_is_unchanged_when_nothing_overflows():
     assert norm == float(np.sqrt(total))
     for p, g in zip(params, grads):
         np.testing.assert_array_equal(p.grad, g * (1.0 / norm))
+
+
+@pytest.mark.parametrize("k, n, channel", [(4, 2, "awgn"), (8, 4, "rayleigh")])
+def test_clip_global_norm_keeps_every_bit_of_a_system_gradient_norm(k, n, channel):
+    cfg = SystemConfig(k=k, n=n, latent_multiplier=2, hidden_filters=32, block_length=10,
+                       seed=5, channel_kind=channel)
+    system = CommSystem(cfg)
+    system.train_mode()
+    rows = generate_dataset(k, 10, num_messages=64, seed=6, num_test=1).train
+    result = system.end_to_end(one_hot(rows, cfg.M), ChannelModel(channel, 6.0, cfg.code_rate))
+    result.loss.backward()
+    params = system.parameters()
+    grads = [p.grad for p in params]  # clip_global_norm replaces them, leaving these
+    total = 0.0
+    for g in grads:
+        total += float((g * g).sum())
+    expected = math.sqrt(total)
+    max_norm = expected / 3.0
+    norm = clip_global_norm(params, max_norm)
+    assert norm == expected
+    for p, g in zip(params, grads):
+        assert p.grad.dtype == g.dtype
+        np.testing.assert_array_equal(p.grad, g * (max_norm / expected))
+
+
+def test_clip_global_norm_returns_inf_past_the_float64_range_without_a_warning():
+    a = Tensor(np.zeros(2), requires_grad=True)
+    a.grad = np.array([1.5e308, 1.5e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norm = clip_global_norm([a], 5.0)
+    assert norm == math.inf
+    np.testing.assert_array_equal(a.grad, [1.5e308, 1.5e308])
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
