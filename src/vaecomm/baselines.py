@@ -138,11 +138,12 @@ def _nearest(c: Constellation, symbols: np.ndarray) -> np.ndarray:
 # When the slicer may decide. The search rounds each squared distance
 # |y - p|^2 by a few ulps, and with levels in [-2, 2] that distance is at most
 # 20 max(1, s)^2, where s = max(|Re y|, |Im y|). With levels at least 1/4
-# apart, an entry m from every midpoint has every other point at least m/2
-# farther than its nearest one. So once m > _GUARD * max(1, s)^2, some 100
-# times the rounding of two distances at 8 ulps each, the slicer's point is
-# the search's. Past _SLICE_LIMIT the squared distances may overflow, and
-# the search alone decides.
+# apart, when both axes of y are at least m from every midpoint, every other
+# point is at least m/2 farther (squared) than the nearest one. So once
+# m > _GUARD * max(1, s)^2, about 100 times the rounding of two distances
+# at a relative error of 8 eps each, the slicer's point is the search's.
+# Past _SLICE_LIMIT the squared distances may overflow, and the search alone
+# decides.
 _GUARD = 2.0 ** -36
 _SLICE_LIMIT = 2.0 ** 500
 
@@ -267,6 +268,8 @@ def baseline_bler(c: Constellation, ebno_db: float, k: int, L: int, n_blocks: in
     matching the spectral efficiency of a learned system with R = k/n equal
     to the constellation's bits per channel use. A block errs when any of its
     L message symbols errs; a message symbol errs when any of its k bits does.
+    k, L, n_blocks and chunk_blocks must be Python or numpy integers, not
+    bool, or DomainError is raised.
     """
     sizes = {"k": k, "L": L, "n_blocks": n_blocks, "chunk_blocks": chunk_blocks}
     for name, value in sizes.items():

@@ -114,8 +114,8 @@ def index_bits(c, idx):
 
 
 def adversarial_axis_values(c):
-    """Each midpoint between levels, negated, with its two neighbours per side,
-    the levels themselves, and signed zeros."""
+    """Signed zeros, the levels, and the midpoints between levels and their
+    negations, each with its two nearest floats on either side."""
     levels = np.unique(c.points.real)
     mids = (levels[:-1] + levels[1:]) / 2
     values = [0.0, -0.0, *levels, *mids, *-mids]

@@ -76,3 +76,15 @@ def test_a_missing_result_file_is_named(tmp_path):
     assert proc.returncode != 0
     assert str(missing) in proc.stderr
     assert not (tmp_path / "BENCH_test.json").exists()
+
+
+def test_runs_of_different_lengths_are_refused(tmp_path):
+    write_results(tmp_path / "parent", "parent")
+    write_results(tmp_path / "change", "change")
+    path = tmp_path / "parent" / f"eval_sweep-seed{SEEDS[0]}-trace0.json"
+    result = json.loads(path.read_text())
+    result["environment"]["seconds"] = 10.0
+    path.write_text(json.dumps(result))
+    proc = run_tool(tmp_path)
+    assert proc.returncode != 0
+    assert "different lengths" in proc.stderr

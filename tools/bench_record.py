@@ -49,9 +49,10 @@ def summary(values: list[float]) -> dict:
 def build_record(out_dirs: dict[str, Path], commits: dict[str, str], seeds: list[int],
                  benchmark: dict) -> dict:
     workloads = {}
-    results = {}
+    run_seconds = set()
     for workload in sorted(w["name"] for w in benchmark["workloads"]):
         results = {side: load_runs(d, workload, seeds) for side, d in out_dirs.items()}
+        run_seconds |= {r["environment"]["seconds"] for runs in results.values() for r in runs}
         metrics = {}
         for m in benchmark["end_to_end"]:
             row = {"unit": m["unit"], "better": m["better"], "bound": m["bound"]}
@@ -64,7 +65,6 @@ def build_record(out_dirs: dict[str, Path], commits: dict[str, str], seeds: list
                               for side, runs in results.items()},
             "metrics": metrics,
         }
-    run_seconds = {r["environment"]["seconds"] for runs in results.values() for r in runs}
     if len(run_seconds) != 1:
         raise SystemExit(f"error: runs of different lengths: {sorted(run_seconds)} s")
     (seconds,) = run_seconds
