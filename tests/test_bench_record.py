@@ -1,6 +1,7 @@
 """tools/bench_record.py turns two sides' benchmark result files into one record."""
 
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -19,10 +20,10 @@ def value(side: str, workload: str, metric: int, seed: int) -> float:
     return (1000.0 if side == "change" else 0.0) + 100.0 * metric + seed % 10 + len(workload)
 
 
-def write_results(out_dir: Path, side: str) -> None:
+def write_results(out_dir: Path, side: str, value=value, seeds=SEEDS) -> None:
     out_dir.mkdir()
     for wl in BENCHMARK["workloads"]:
-        for seed in SEEDS:
+        for seed in seeds:
             metrics = {m["name"]: {"value": value(side, wl["name"], i, seed), "unit": m["unit"]}
                        for i, m in enumerate(BENCHMARK["end_to_end"])}
             result = {"correct": True, "attempted": 10, "failed": seed % 2, "metrics": metrics,
@@ -31,10 +32,10 @@ def write_results(out_dir: Path, side: str) -> None:
             (out_dir / f"{wl['name']}-seed{seed}-trace0.json").write_text(json.dumps(result))
 
 
-def run_tool(tmp_path, *extra):
+def run_tool(tmp_path, *extra, seeds=SEEDS):
     return subprocess.run(
         [sys.executable, str(TOOL), str(tmp_path / "parent"), str(tmp_path / "change"),
-         "aaa111", "bbb222", "--seeds", *map(str, SEEDS), "--out",
+         "aaa111", "bbb222", "--seeds", *map(str, seeds), "--out",
          str(tmp_path / "BENCH_test.json"), *extra],
         capture_output=True, text=True, timeout=60)
 
@@ -88,3 +89,36 @@ def test_runs_of_different_lengths_are_refused(tmp_path):
     proc = run_tool(tmp_path)
     assert proc.returncode != 0
     assert "different lengths" in proc.stderr
+
+
+# per pair: the change's value is the parent's times exp(shift); 0.0 is a tie
+SHIFTS = {1: 0.3, 2: 0.0, 3: 0.1, 4: 0.2, 5: -0.1}
+ZERO_PAIRS = {1: (0.0, 0.0), 2: (0.0, 2e-3), 3: (1e-3, 1e-3), 4: (1e-3, 2e-3), 5: (3e-3, 2e-3)}
+
+
+def shifted(side: str, workload: str, metric: int, seed: int) -> float:
+    if BENCHMARK["end_to_end"][metric]["name"] == "sweep_ser":
+        return ZERO_PAIRS[seed][side == "change"]
+    base = 10.0 * (metric + 1) + seed
+    return base * math.exp(SHIFTS[seed]) if side == "change" else base
+
+
+def test_pairs_won_and_median_log_ratio_recover_a_known_shift(tmp_path):
+    seeds = sorted(SHIFTS)
+    write_results(tmp_path / "parent", "parent", shifted, seeds)
+    write_results(tmp_path / "change", "change", shifted, seeds)
+    proc = run_tool(tmp_path, seeds=seeds)
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads((tmp_path / "BENCH_test.json").read_text())
+    for entry in record["workloads"].values():
+        for m in BENCHMARK["end_to_end"]:
+            row = entry["metrics"][m["name"]]
+            if m["name"] == "sweep_ser":
+                # lower is better; a pair with one zero has no log ratio, two zeros tie
+                assert row["pairs_won"] == {"parent": 2, "change": 1}
+                assert row["median_log_ratio"] == 0.0  # of ln(2/3), 0, 0 and ln 2
+                continue
+            # four pairs shifted by 0.3, 0.1, 0.2 and -0.1; one tie
+            up, down = (3, 1) if m["better"] == "higher" else (1, 3)
+            assert row["pairs_won"] == {"change": up, "parent": down}
+            assert math.isclose(row["median_log_ratio"], 0.1, rel_tol=1e-12)

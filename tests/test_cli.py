@@ -290,6 +290,16 @@ def test_sweep_corrupt_checkpoint(tmp_path, capsys):
     assert "bad.json" in capsys.readouterr().err
 
 
+def test_sweep_checkpoint_that_is_a_directory(tmp_path, capsys):
+    code = main(["sweep", "--checkpoint", str(tmp_path), "--blocks", "4",
+                 "--out", str(tmp_path / "c.csv")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.splitlines() == [f"error: cannot read checkpoint {tmp_path}: "
+                                f"[Errno 21] Is a directory: '{tmp_path}'"]
+    assert not (tmp_path / "c.csv").exists()
+
+
 def test_sweep_refuses_a_checkpoint_with_a_float_in_an_integer_field(tmp_path, capsys):
     _, ckpt = run_train(tmp_path)
     doc = json.loads(ckpt.read_text())

@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import json
 import math
@@ -330,13 +331,42 @@ def test_an_overflowing_latent_is_sent_at_unit_power():
 # -- checkpoints -------------------------------------------------------------------------
 
 
-def test_checkpoint_roundtrip_preserves_everything(tmp_path):
-    cfg = desk_config(seed=11)
-    sys_ = CommSystem(cfg)
-    # make running stats nontrivial
-    sys_.train_mode()
+def format2_document(system):
+    """The document a format-2 writer made for system: every value a JSON number."""
+    return {
+        "format_version": 2,
+        "config": dataclasses.asdict(system.config),
+        "layers": [{"name": name, "shape": list(t.shape), "values": t.data.reshape(-1).tolist()}
+                   for name, t in system.named_parameters()],
+        "batchnorm_running_stats": {
+            name: {"mean": layer.running_mean.tolist(), "var": layer.running_var.tolist()}
+            for name, layer in system.layers_of(BatchNorm1D)
+        },
+    }
+
+
+def trained_step_system(seed):
+    """A desk system after one train-mode forward pass, so its running statistics are not
+    their initial zeros and ones."""
+    cfg = desk_config(seed=seed)
+    sys_ = CommSystem(cfg).train_mode()
     ch = ChannelModel("awgn", 6.0, cfg.code_rate, rng_seed=4)
     sys_.end_to_end(onehot_batch(cfg, np.random.default_rng(9)), ch)
+    return sys_
+
+
+def stored_arrays(system):
+    """Every array a checkpoint stores, by its field name, in file order."""
+    arrays = {f"layers[{name}]": t.data for name, t in system.named_parameters()}
+    for name, layer in system.layers_of(BatchNorm1D):
+        arrays[f"{name}.mean"] = layer.running_mean
+        arrays[f"{name}.var"] = layer.running_var
+    return arrays
+
+
+def test_checkpoint_roundtrip_preserves_everything(tmp_path):
+    sys_ = trained_step_system(seed=11)
+    cfg = sys_.config
 
     p1 = tmp_path / "model.json"
     p2 = tmp_path / "model2.json"
@@ -353,21 +383,47 @@ def test_checkpoint_roundtrip_preserves_everything(tmp_path):
     assert loaded.config == cfg  # block_length=10 included
 
 
-def test_version_1_checkpoint_loads_at_l100_and_warns(tmp_path):
-    cfg = desk_config(seed=13)
-    sys_ = CommSystem(cfg)
-    p = tmp_path / "m.json"
-    save_checkpoint(sys_, str(p))
-    doc = json.loads(p.read_text())
-    doc["format_version"] = 1
-    del doc["config"]["block_length"]
-    old = tmp_path / "v1.json"
-    old.write_text(json.dumps(doc))
-    with pytest.warns(UserWarning, match="L=100"):
-        loaded = load_checkpoint(str(old))
-    assert loaded.config == dataclasses.replace(cfg, block_length=100)
-    for (_, ta), (_, tb) in zip(sys_.named_parameters(), loaded.named_parameters()):
-        np.testing.assert_array_equal(ta.data, tb.data)
+def test_checkpoint_payloads_are_the_little_endian_float32_bytes(tmp_path):
+    sys_ = trained_step_system(seed=16)
+    path = tmp_path / "m.json"
+    save_checkpoint(sys_, str(path))
+    doc = json.loads(path.read_text())
+    assert doc["format_version"] == 3
+    payloads = {f"layers[{e['name']}]": e["float32le"] for e in doc["layers"]}
+    assert all(set(e) == {"name", "shape", "float32le"} for e in doc["layers"])
+    for name, entry in doc["batchnorm_running_stats"].items():
+        payloads[f"{name}.mean"] = entry["mean"]
+        payloads[f"{name}.var"] = entry["var"]
+    arrays = stored_arrays(sys_)
+    assert list(payloads) == list(arrays)
+    for field, data in arrays.items():
+        assert payloads[field] == base64.b64encode(data.astype("<f4").tobytes()).decode(), field
+
+
+def test_format_2_and_format_3_files_load_the_same_arrays(tmp_path):
+    sys_ = trained_step_system(seed=17)
+    old, new = tmp_path / "v2.json", tmp_path / "v3.json"
+    old.write_text(json.dumps(format2_document(sys_), indent=1) + "\n")
+    save_checkpoint(sys_, str(new))
+    from_old, from_new = load_checkpoint(str(old)), load_checkpoint(str(new))
+    assert from_old.config == from_new.config == sys_.config
+    a, b = stored_arrays(from_old), stored_arrays(from_new)
+    for field, data in stored_arrays(sys_).items():
+        np.testing.assert_array_equal(a[field], data, err_msg=field)
+        np.testing.assert_array_equal(b[field], data, err_msg=field)
+
+
+@pytest.mark.parametrize("version", [2, 3])
+def test_loaded_checkpoint_arrays_are_writable_contiguous_float32(tmp_path, version):
+    sys_ = trained_step_system(seed=18)
+    path = tmp_path / "m.json"
+    if version == 2:
+        path.write_text(json.dumps(format2_document(sys_)))
+    else:
+        save_checkpoint(sys_, str(path))
+    for field, array in stored_arrays(load_checkpoint(str(path))).items():
+        assert array.dtype == np.float32 and array.dtype.isnative, field
+        assert array.flags.writeable and array.flags.c_contiguous, field
 
 
 def test_checkpoint_loaded_system_predicts_identically(tmp_path):
@@ -382,7 +438,7 @@ def test_checkpoint_loaded_system_predicts_identically(tmp_path):
     np.testing.assert_array_equal(a.data, b.data)
 
 
-@pytest.mark.parametrize("field", ["layers[tx_conv1.weight].values",
+@pytest.mark.parametrize("field", ["layers[tx_conv1.weight].float32le",
                                    "batchnorm_running_stats.rx_bn.var"])
 def test_save_refuses_a_non_finite_value_and_keeps_the_old_file(tmp_path, field):
     sys_ = CommSystem(desk_config(seed=15))
@@ -398,9 +454,42 @@ def test_save_refuses_a_non_finite_value_and_keeps_the_old_file(tmp_path, field)
     assert path.read_bytes() == before
 
 
+class FailingJSON:
+    """Stands in for the json module: dump writes part of the document, then fails as a full
+    disk does."""
+
+    def dump(self, doc, fh, **kwargs):
+        fh.write(json.dumps(doc, **kwargs)[:1000])
+        raise OSError(28, "No space left on device")
+
+
+def test_a_failed_write_keeps_the_existing_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "m.json"
+    save_checkpoint(CommSystem(desk_config(seed=19)), str(path))
+    before = path.read_bytes()
+    monkeypatch.setattr("vaecomm.checkpoint.json", FailingJSON())
+    with pytest.raises(CheckpointError, match=re.escape(str(path)) + ".*No space left"):
+        save_checkpoint(CommSystem(desk_config(seed=20)), str(path))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
+
+
+@pytest.mark.parametrize("target", ["missing/m.json", "."])
+def test_an_unwritable_checkpoint_path_is_named(tmp_path, target):
+    path = tmp_path / target
+    with pytest.raises(CheckpointError, match=re.escape(str(path))):
+        save_checkpoint(CommSystem(desk_config()), str(path))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_checkpoint_missing_file():
     with pytest.raises(CheckpointError):
         load_checkpoint("/nonexistent/model.json")
+
+
+def test_a_checkpoint_path_that_is_a_directory_is_named(tmp_path):
+    with pytest.raises(CheckpointError, match=re.escape(f"cannot read checkpoint {tmp_path}")):
+        load_checkpoint(str(tmp_path))
 
 
 def test_checkpoint_rejects_bad_json(tmp_path):
@@ -442,6 +531,22 @@ def test_checkpoint_error_names_offending_field(tmp_path):
         load_checkpoint(str(q))
 
 
+@dataclasses.dataclass(frozen=True)
+class Format3:
+    """A malformed-table value that edits the format-3 file save_checkpoint writes; the
+    table's other values edit a format-2 document."""
+    value: object
+
+
+def f32le(values):
+    return base64.b64encode(np.asarray(values, dtype="<f4").tobytes()).decode()
+
+
+# sizes of the desk system's first layer (tx_conv1.weight) and of a batch norm's statistics
+LAYER0_SIZE = CommSystem(desk_config()).named_parameters()[0][1].size
+BN_SIZE = CommSystem(desk_config()).rx_bn.running_var.size
+
+
 @pytest.mark.parametrize("path, value, field", [
     (("layers", 0, "shape"), 5, "shape"),
     (("layers", 0, "shape"), None, "shape"),
@@ -460,11 +565,39 @@ def test_checkpoint_error_names_offending_field(tmp_path):
     (("config", "block_length"), 4.0, "config"),
     (("config", "n"), 1.0, "config"),
     (("config", "k"), True, "config"),
+    (("layers", 0, "float32le"), Format3(5), "float32le': not a base64 string"),
+    (("layers", 0, "float32le"), Format3(None), "float32le': not a base64 string"),
+    (("batchnorm_running_stats", "tx_bn", "mean"), Format3([0.0] * BN_SIZE),
+     "tx_bn.mean': not a base64 string"),
+    (("layers", 0, "float32le"), Format3("not base64!"), "float32le': not valid base64"),
+    (("layers", 0, "float32le"), Format3("AAAA\u00e9"), "float32le': not valid base64"),
+    (("batchnorm_running_stats", "rx_bn", "var"), Format3("AAA"), "rx_bn.var': not valid base64"),
+    (("layers", 0, "float32le"), Format3(f32le(np.ones(LAYER0_SIZE - 1))),
+     "float32le': expected 2048 bytes"),
+    (("layers", 0, "float32le"), Format3(f32le(np.ones(LAYER0_SIZE))[:-4]),
+     "float32le': expected 2048 bytes"),
+    (("batchnorm_running_stats", "rx_bn", "var"), Format3(f32le(np.ones(BN_SIZE + 1))),
+     "rx_bn.var': expected 128 bytes"),
+    (("layers", 0, "float32le"), Format3(f32le([np.nan] + [0.0] * (LAYER0_SIZE - 1))),
+     "float32le': holds a non-finite value"),
+    (("batchnorm_running_stats", "rx_bn", "var"), Format3(f32le([1.0] * (BN_SIZE - 1) + [np.inf])),
+     "rx_bn.var': holds a non-finite value"),
+    (("batchnorm_running_stats", "tx_bn", "mean"), Format3(f32le([-np.inf] * BN_SIZE)),
+     "tx_bn.mean': holds a non-finite value"),
+    (("layers", 0, "values", 1), 1e300, "values': not a list of numbers"),
+    (("batchnorm_running_stats", "rx_bn", "var", 0), 10 ** 400, "rx_bn.var': not a list of numbers"),
+    (("format_version",), 2.0, "format_version"),
+    (("format_version",), Format3(True), "format_version"),
 ])
 def test_malformed_checkpoint_entries_raise_checkpoint_error(tmp_path, path, value, field):
     saved = tmp_path / "m.json"
-    save_checkpoint(CommSystem(desk_config()), str(saved))
-    doc = json.loads(saved.read_text())
+    system = CommSystem(desk_config())
+    if isinstance(value, Format3):
+        save_checkpoint(system, str(saved))
+        doc = json.loads(saved.read_text())
+        value = value.value
+    else:
+        doc = format2_document(system)
     target = doc
     for key in path[:-1]:
         target = target[key]
@@ -504,8 +637,7 @@ def test_checkpoint_roundtrip_after_a_train_step(tmp_path_factory, k, n, m, filt
 def test_float64_checkpoint_values_load_rounded_to_float32(tmp_path):
     sys_ = CommSystem(desk_config(seed=14))
     path = tmp_path / "m.json"
-    save_checkpoint(sys_, str(path))
-    doc = json.loads(path.read_text())
+    doc = format2_document(sys_)
     doc["layers"][0]["values"][0] = 0.1  # not a float32 value
     doc["batchnorm_running_stats"]["tx_bn"]["mean"][0] = 1 / 3
     path.write_text(json.dumps(doc))

@@ -10,7 +10,12 @@ once per workload and seed, and left its files in its own
 For every workload and end-to-end metric in BENCHMARK.json, the record holds
 both sides' per-run values in seed order, their median and quartiles
 (``statistics.quantiles(..., n=4, method="inclusive")``), and the metric's unit,
-direction and bound. It also holds the failed-operation counts, each side's
+direction and bound. Pairs are compared run by run: ``pairs_won`` counts the
+pairs each side won in the metric's better direction (a tie counts for
+neither), and ``median_log_ratio`` is the median over pairs of
+ln(change / parent), 0 for equal values; a pair with a value of 0 or less
+and unequal values has no log ratio and is left out of that median, which is
+null when no pair has one. It also holds the failed-operation counts, each side's
 ``source_sha256``, the run length, the seeds, the side that ran first in each
 pair and the host record of the change's first run.
 """
@@ -19,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import sys
 from pathlib import Path
@@ -46,6 +52,23 @@ def summary(values: list[float]) -> dict:
     return {"runs": values, "median": median, "q1": q1, "q3": q3}
 
 
+def log_ratio(parent: float, change: float) -> float | None:
+    if parent == change:
+        return 0.0
+    return math.log(change / parent) if parent > 0 and change > 0 else None
+
+
+def paired(parent: list[float], change: list[float], better: str) -> dict:
+    """Pairs won by each side in the better direction, and the median per-pair log ratio."""
+    sign = 1 if better == "higher" else -1
+    wins = {"parent": 0, "change": 0}
+    for p, c in zip(parent, change):
+        if p != c:
+            wins["change" if sign * (c - p) > 0 else "parent"] += 1
+    ratios = [r for r in map(log_ratio, parent, change) if r is not None]
+    return {"pairs_won": wins, "median_log_ratio": statistics.median(ratios) if ratios else None}
+
+
 def build_record(out_dirs: dict[str, Path], commits: dict[str, str], seeds: list[int],
                  benchmark: dict) -> dict:
     workloads = {}
@@ -58,6 +81,7 @@ def build_record(out_dirs: dict[str, Path], commits: dict[str, str], seeds: list
             row = {"unit": m["unit"], "better": m["better"], "bound": m["bound"]}
             for side, runs in results.items():
                 row[side] = summary([r["metrics"][m["name"]]["value"] for r in runs])
+            row.update(paired(row["parent"]["runs"], row["change"]["runs"], m["better"]))
             metrics[m["name"]] = row
         workloads[workload] = {
             "failed": {side: [r["failed"] for r in runs] for side, runs in results.items()},
