@@ -1,17 +1,16 @@
 """Classical Gray-coded modem baselines and their analytic error rates.
 
-Bit-to-point conventions are pinned here once:
+Every constellation is square and Gray coded: one PAM ladder gives the level
+of each axis label, on both axes, and a point's index is its I label followed
+by its Q label, the MSB-first value of its bit group. The ladders, by label:
 
-* QPSK: two bits (b0, b1), I = (1 - 2 b0)/sqrt(2), Q = (1 - 2 b1)/sqrt(2),
-  so bits 00 map to (1 + j)/sqrt(2).
-* 16QAM: four bits, (b0, b1) pick the I level and (b2, b3) the Q level via
-  the Gray ladder 00 -> -3, 01 -> -1, 11 -> +1, 10 -> +3, scaled by
-  1/sqrt(10) for unit average symbol energy.
+* QPSK: +1, -1, scaled by 1/sqrt(2), so bits 00 map to (1 + j)/sqrt(2).
+* 16QAM: 00 -> -3, 01 -> -1, 10 -> +3, 11 -> +1, scaled by 1/sqrt(10) for
+  unit average symbol energy.
 
-Point index equals the MSB-first integer value of the bit group. The Rayleigh
-option uses coherent detection with perfect CSI (divide by h), the textbook
-reference receiver; the learned system never sees CSI, so the comparison is
-deliberately favourable to the baseline.
+The Rayleigh option uses coherent detection with perfect CSI (divide by h),
+the textbook reference receiver; the learned system never sees CSI, so the
+comparison is deliberately favourable to the baseline.
 
 SciPy is required, but only the analytic curves load it: ``qfunc`` imports
 ``erfc`` on the first ``analytic_ber`` or ``analytic_ser`` call, which
@@ -19,16 +18,15 @@ SciPy is required, but only the analytic curves load it: ``qfunc`` imports
 run without SciPy, which would be most of a cold import's time.
 
 Hard decisions are nearest-point decisions by complex distance, with ties
-taken by the lowest point index. A square constellation whose index is its I
-label followed by its Q label, as both of these are, splits into two PAM
-ladders, so the nearest point is the nearest I level and the nearest Q level,
-each decided from its own axis by comparisons with the midpoints between
-levels. The slicer gives the distance search's decisions by construction: an
-entry within a guard band of a midpoint, scaled to the square of the
-symbol's largest axis magnitude, and every non-finite or huge entry are
-decided by the distance search itself. So a tie, which sits on a midpoint,
-still goes to the lowest point index. A constellation without that structure,
-or with levels outside [-2, 2] or closer than 1/4, uses the search alone.
+taken by the lowest point index. On a square constellation the nearest point
+is the nearest I level and the nearest Q level, each decided from its own
+axis by comparisons with the midpoints between levels. The slicer gives the
+distance search's decisions by construction: an entry within a guard band of
+a midpoint, scaled to the square of the symbol's largest axis magnitude, and
+every non-finite or huge entry are decided by the distance search itself. So
+a tie, which sits on a midpoint, still goes to the lowest point index. The
+guard band rests on the ladder's levels lying in [-2, 2], at least 1/4
+apart, and ``Constellation`` refuses any other ladder.
 
 Each ``baseline_bler`` call logs one INFO line (constellation, Eb/N0, blocks,
 block errors, seconds, bits/s) on the ``vaecomm.baselines`` logger.
@@ -39,7 +37,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,8 +46,6 @@ from .curves import wilson_interval
 from .errors import ConfigError, DomainError, ShapeMismatchError
 
 log = logging.getLogger(__name__)
-
-_GRAY_PAM4 = {0b00: -3.0, 0b01: -1.0, 0b11: 1.0, 0b10: 3.0}
 
 CONSTELLATION_NAMES = ("qpsk", "16qam", "qam16")  # qam16 is another name for 16qam
 
@@ -63,26 +59,47 @@ def qfunc(x):
 
 @dataclass(frozen=True)
 class Constellation:
+    """A square constellation whose axes share one Gray PAM ladder: ``levels[l]``
+    is the level of axis label l. ``points``, ``bits_per_symbol`` and the
+    slicer's tables derive from it. A ladder whose size is not a power of two
+    >= 2, or whose levels are not finite, in [-2, 2] and 1/4 apart, is a
+    ConfigError."""
+
     name: str
-    points: np.ndarray  # complex, indexed by the MSB-first bit pattern
-    bits_per_symbol: int
+    levels: np.ndarray
+    points: np.ndarray = field(init=False, repr=False)
+    bits_per_symbol: int = field(init=False)
+    _midpoints: np.ndarray = field(init=False, repr=False)
+    _by_position: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        levels = np.asarray(self.levels, dtype=np.float64)
+        side = levels.size
+        if levels.ndim != 1 or side < 2 or side & (side - 1):
+            raise ConfigError(f"{self.name}: a ladder needs a power of two >= 2 levels, "
+                              f"got shape {levels.shape}")
+        labels = np.argsort(levels)
+        ordered = levels[labels]
+        if not (np.abs(levels).max() <= 2.0 and np.diff(ordered).min() >= 0.25):  # NaN fails
+            raise ConfigError(f"{self.name}: levels must be finite, in [-2, 2] and at least "
+                              f"1/4 apart, got {levels.tolist()}")
+        points = np.empty(side * side, dtype=np.complex128)
+        points.real = np.repeat(levels, side)
+        points.imag = np.tile(levels, side)
+        derived = {"levels": levels, "points": points,
+                   "bits_per_symbol": 2 * (side.bit_length() - 1),
+                   "_midpoints": (ordered[:-1] + ordered[1:]) / 2,
+                   "_by_position": (labels[:, None] * side + labels[None, :]).ravel()}
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @staticmethod
     def qpsk() -> "Constellation":
-        pts = np.empty(4, dtype=np.complex128)
-        for b0 in (0, 1):
-            for b1 in (0, 1):
-                pts[(b0 << 1) | b1] = ((1 - 2 * b0) + 1j * (1 - 2 * b1)) / math.sqrt(2.0)
-        return Constellation("qpsk", pts, 2)
+        return Constellation("qpsk", np.array([1.0, -1.0]) / math.sqrt(2.0))
 
     @staticmethod
     def qam16() -> "Constellation":
-        pts = np.empty(16, dtype=np.complex128)
-        for pattern in range(16):
-            i_level = _GRAY_PAM4[(pattern >> 2) & 0b11]
-            q_level = _GRAY_PAM4[pattern & 0b11]
-            pts[pattern] = (i_level + 1j * q_level) / math.sqrt(10.0)
-        return Constellation("16qam", pts, 4)
+        return Constellation("16qam", np.array([-3.0, -1.0, 3.0, 1.0]) / math.sqrt(10.0))
 
     @staticmethod
     def by_name(name: str) -> "Constellation":
@@ -148,33 +165,6 @@ _GUARD = 2.0 ** -36
 _SLICE_LIMIT = 2.0 ** 500
 
 
-def _ladder(levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The midpoints between the sorted levels, and the label at each position."""
-    labels = np.argsort(levels)
-    ordered = levels[labels]
-    return (ordered[:-1] + ordered[1:]) / 2, labels
-
-
-def _square_ladders(c: Constellation) -> list[tuple[np.ndarray, np.ndarray]] | None:
-    """The I and Q ladders of c, or None when the slicer does not apply.
-
-    It applies when the point index is the I label followed by the Q label
-    and the levels of each axis lie in [-2, 2], at least 1/4 apart.
-    """
-    if c.bits_per_symbol % 2:
-        return None
-    side = np.arange(1 << c.bits_per_symbol // 2)
-    i_levels, q_levels = c.points[side * side.size].real, c.points[side].imag
-    grid = (i_levels[:, None] + 1j * q_levels[None, :]).ravel()
-    if not np.array_equal(grid, c.points):
-        return None
-    for levels in (i_levels, q_levels):
-        ordered = np.sort(levels)
-        if np.abs(ordered).max() > 2.0 or np.diff(ordered).min() < 0.25:
-            return None
-    return [_ladder(i_levels), _ladder(q_levels)]
-
-
 def _slice(x: np.ndarray, midpoints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each entry's level position (the midpoints below it) and its distance
     to the nearest midpoint. A tie at a midpoint lies inside every guard band,
@@ -189,15 +179,10 @@ def _slice(x: np.ndarray, midpoints: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 def _decide(c: Constellation, symbols: np.ndarray) -> np.ndarray:
     """Point index of each flat complex symbol, equal to ``_nearest``'s."""
-    ladders = _square_ladders(c)
-    if ladders is None:
-        return _nearest(c, symbols)
-    (i_mid, i_labels), (q_mid, q_labels) = ladders
     x, y = symbols.real, symbols.imag
-    i_pos, i_margin = _slice(x, i_mid)
-    q_pos, q_margin = _slice(y, q_mid)
-    side = i_labels.size
-    idx = (i_labels[:, None] * side + q_labels[None, :]).ravel()[i_pos * side + q_pos]
+    i_pos, i_margin = _slice(x, c._midpoints)
+    q_pos, q_margin = _slice(y, c._midpoints)
+    idx = c._by_position[i_pos * c.levels.size + q_pos]
 
     scale = np.maximum(np.abs(x), np.abs(y))
     sure = scale <= _SLICE_LIMIT  # False for NaN and inf

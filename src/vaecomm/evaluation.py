@@ -3,9 +3,10 @@
 In eval mode the transmitter is a fixed per-symbol map up to the per-block
 power norm, so each call first builds the system's (M, latent_dim) codebook
 of pre-normalization latents and every chunk encodes by a gather from it.
-The receiver decides on blocks of 512 positions (``CommSystem.decide``) and
-keeps only the argmax, so a chunk's memory does not grow with its size. The
-codebook lives for one call only. The reference path (``transmit`` and
+The codebook depends only on the system, not on ``chunk_blocks``, and lives
+for one call only. The receiver decides on blocks of 512 positions
+(``CommSystem.decide``) and keeps only the argmax, so a chunk's memory does
+not grow with its size. The reference path (``transmit`` and
 ``receive``) trains the system and is the tests' oracle for this one.
 
 Work is chunked; every chunk derives its own message and channel streams from
@@ -138,7 +139,7 @@ def _measure(system, caller: str, what: str, settings, blocks: int, seed: int,
         raise DomainError(f"chunk_blocks must be >= 1, got {chunk_blocks}")
     if system.training:
         raise ConfigError(f"{caller} requires eval mode; call eval_mode() first")
-    codebook = system.codebook(chunk_blocks)
+    codebook = system.codebook()
     counts = []
     with _chunk_map(resolve_worker_count(workers)) as chunk_map:
         for idx, (ebno_db, length, text) in enumerate(settings):

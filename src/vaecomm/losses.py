@@ -121,8 +121,8 @@ def beta_vae_loss(logits: Tensor, target: Tensor, mu: Tensor, logvar: Tensor,
 
     Returns the differentiable scalar plus a float breakdown of the terms.
     """
-    if beta < 0.0:
-        raise DomainError(f"beta must be non-negative, got {beta}")
+    if not 0.0 <= beta < np.inf:  # also false for NaN
+        raise DomainError(f"beta must be finite and non-negative, got {beta}")
     kl = kl_standard_normal(mu, logvar)
     recon = softmax_binary_cross_entropy(logits, target)
     total = kl * beta + recon

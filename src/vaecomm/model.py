@@ -79,8 +79,8 @@ class SystemConfig:
             )
         if self.hidden_filters < 1:
             raise ConfigError(f"hidden_filters must be >= 1, got {self.hidden_filters}")
-        if self.beta < 0.0:
-            raise ConfigError(f"beta must be non-negative, got {self.beta}")
+        if not 0.0 <= self.beta < np.inf:  # also false for NaN
+            raise ConfigError(f"beta must be finite and non-negative, got {self.beta}")
         if self.channel_kind not in CHANNEL_KINDS:
             raise ConfigError(f"channel_kind must be one of {CHANNEL_KINDS}, got {self.channel_kind!r}")
         if self.block_length < 1:
@@ -167,6 +167,10 @@ _ENCODER = TRANSMITTER[:-1]  # one-hot -> pre-normalization latent
 # whole chunk at k = 2, 4 and 8 (25,600 positions); blocks of 256 rows at
 # k = 2, and of 64 at k = 4, changed them in the last bits.
 _DECIDE_ROWS = 512
+
+# Messages per ``codebook`` slice, fixed: at k = 8 every smaller slice size
+# tried changed some float32 latents, so the codebook depends only on the system.
+_CODEBOOK_ROWS = 256
 
 # Parameter order: every conv in chain order, then every batch norm. The
 # checkpoint's layer list and clip_global_norm's summation follow it.
@@ -267,22 +271,20 @@ class CommSystem:
 
     # -- eval-mode codebook path --------------------------------------------------
 
-    def codebook(self, max_rows: int) -> np.ndarray:
+    def codebook(self) -> np.ndarray:
         """Eval-mode pre-normalization latent of every message, shape (M, latent_dim).
 
         Runs the transmitter stages before the power norm on one-hot slices of
-        at most ``max_rows`` messages, so no M x M identity is allocated.
+        ``_CODEBOOK_ROWS`` messages, so no M x M identity is allocated.
         """
         if self.training:
             raise ConfigError("codebook requires eval mode; call eval_mode() first")
-        if max_rows < 1:
-            raise DomainError(f"max_rows must be >= 1, got {max_rows}")
         M = self.config.M
         book = np.empty((M, self.config.latent_dim), dtype=SYSTEM_DTYPE)
-        x = np.zeros((1, min(max_rows, M), M), dtype=SYSTEM_DTYPE)  # one slice buffer, reused
+        x = np.zeros((1, min(_CODEBOOK_ROWS, M), M), dtype=SYSTEM_DTYPE)  # one slice, reused
         with no_grad():
-            for start in range(0, M, max_rows):
-                rows = np.arange(min(max_rows, M - start))
+            for start in range(0, M, _CODEBOOK_ROWS):
+                rows = np.arange(min(_CODEBOOK_ROWS, M - start))
                 x[0, rows, start + rows] = 1.0
                 latent = self._run(_ENCODER, {"x": Tensor(x[:, :rows.size])})["latent"]
                 book[start:start + rows.size] = latent.data[0]
@@ -291,7 +293,7 @@ class CommSystem:
 
     def encode(self, codebook: np.ndarray, symbols: np.ndarray) -> Tensor:
         """Integer symbols (batch, L) to the power-normalized signal: a gather
-        from ``codebook(...)`` and the power norm, equal to eval-mode transmit.
+        from ``codebook()`` and the power norm, equal to eval-mode transmit.
         A symbol outside [0, M) raises DomainError."""
         lo, hi = symbols.min(initial=0), symbols.max(initial=0)
         if lo < 0 or hi >= self.config.M:

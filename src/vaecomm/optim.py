@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeMismatchError
+from .errors import DomainError, ShapeMismatchError
 from .tensor import Tensor
 
 # the moments' decay rates and the denominator's offset, as Kingma & Ba set them
@@ -27,6 +27,8 @@ EPSILON = 1e-8
 
 class Adam:
     def __init__(self, params: list[Tensor], lr: float = 0.01):
+        if not 0.0 < lr < np.inf:  # a negative rate ascends, 0 never moves, NaN poisons
+            raise DomainError(f"lr must be finite and > 0, got {lr}")
         self.params = list(params)
         self.lr = lr
         self.t = 0

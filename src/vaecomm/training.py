@@ -28,6 +28,9 @@ _CHANNEL_STREAM = 2
 _SHUFFLE_STREAM = 3
 _VAL_STREAM = 4
 
+CLIP_NORM = 5.0  # the bound on the global gradient norm of every step
+VALIDATION_FRACTION = 0.1  # the share of training rows held out for validation
+
 
 @dataclass(frozen=True)
 class EpochRecord:
@@ -87,21 +90,21 @@ def clip_global_norm(params, max_norm: float) -> float:
 
 
 def train(system: CommSystem, dataset: Dataset, *, epochs: int, batch_size: int = 64,
-          lr: float = 0.01, train_ebno_db: float = 6.0, clip_norm: float = 5.0,
-          validation_fraction: float = 0.1) -> TrainingLog:
+          lr: float = 0.01, train_ebno_db: float = 6.0) -> TrainingLog:
     """Train in place and return the per-epoch log.
 
-    The last validation_fraction of the training rows is held out; its loss
-    is computed in eval mode with a fixed noise draw per epoch, so the curve
-    reflects the weights and not the validation channel. The system is left
-    in eval mode when training ends (including for epochs=0).
+    The last ``VALIDATION_FRACTION`` of the training rows (at least one row)
+    is held out; its loss is computed in eval mode with a fixed noise draw
+    per epoch, so the curve reflects the weights and not the validation
+    channel. Every step clips the global gradient norm to ``CLIP_NORM``. The
+    learning rate must be finite and > 0 (``Adam`` raises DomainError). The
+    system is left in eval mode when training ends (including for epochs=0).
     """
     if epochs < 0:
         raise DomainError(f"epochs must be >= 0, got {epochs}")
     if batch_size < 2:
         raise DomainError(f"batch_size must be >= 2, got {batch_size}")
-    if not 0.0 <= validation_fraction < 1.0:
-        raise DomainError(f"validation_fraction must be in [0, 1), got {validation_fraction}")
+    optimizer = Adam(system.parameters(), lr=lr)
 
     logbook = TrainingLog()
     if epochs == 0:
@@ -112,14 +115,13 @@ def train(system: CommSystem, dataset: Dataset, *, epochs: int, batch_size: int 
     rows = dataset.train
     if rows.shape[0] < 4:
         raise DomainError(f"need at least 4 training rows, got {rows.shape[0]}")
-    n_val = max(1, int(rows.shape[0] * validation_fraction)) if validation_fraction > 0 else 0
+    n_val = max(1, int(rows.shape[0] * VALIDATION_FRACTION))
     train_rows = rows[: rows.shape[0] - n_val]
     val_rows = rows[rows.shape[0] - n_val:]
 
     channel = ChannelModel(cfg.channel_kind, train_ebno_db, cfg.code_rate,
                            rng_seed=derive_seed(cfg.seed, _CHANNEL_STREAM))
     shuffle_rng = np.random.default_rng(derive_seed(cfg.seed, _SHUFFLE_STREAM))
-    optimizer = Adam(system.parameters(), lr=lr)
 
     for epoch in range(1, epochs + 1):
         t0 = time.perf_counter()
@@ -143,14 +145,14 @@ def train(system: CommSystem, dataset: Dataset, *, epochs: int, batch_size: int 
             optimizer.zero_grad()
             result.loss.backward()
             del result, x  # frees this step's graph before the next forward
-            norm = clip_global_norm(system.parameters(), clip_norm)
+            norm = clip_global_norm(system.parameters(), CLIP_NORM)
             if not np.isfinite(norm):
                 raise TrainingDivergedError(
                     f"non-finite gradient norm ({norm}) at epoch {epoch}, "
                     f"batch {start // batch_size}"
                 )
             batches += 1
-            clipped += norm > clip_norm
+            clipped += norm > CLIP_NORM
             max_norm = max(max_norm, norm)
             optimizer.step()
             loss_sum += breakdown.total * idx.size
@@ -178,8 +180,6 @@ def train(system: CommSystem, dataset: Dataset, *, epochs: int, batch_size: int 
 
 def _validation_loss(system: CommSystem, val_rows: np.ndarray, cfg, ebno_db: float,
                      batch_size: int) -> float:
-    if val_rows.shape[0] == 0:
-        return float("nan")
     system.eval_mode()
     # recreated every epoch with the same derived seed: identical noise draws
     channel = ChannelModel(cfg.channel_kind, ebno_db, cfg.code_rate,

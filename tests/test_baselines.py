@@ -21,7 +21,6 @@ from vaecomm.baselines import (
     modulate,
     qfunc,
 )
-from vaecomm.baselines import _square_ladders
 from vaecomm.curves import BlerCurve, BlerPoint, wilson_interval, write_table
 
 
@@ -158,19 +157,34 @@ def test_demodulate_matches_the_distance_search_at_thresholds_and_extremes(name)
     np.testing.assert_array_equal(got, index_bits(c, distance_search(c, grid)))
 
 
-def test_demodulate_searches_a_constellation_without_square_ladders():
+@pytest.mark.parametrize("levels, reason", [
+    ([1.0], "power of two"),
+    ([1.0, -1.0, 0.5], "power of two"),
+    ([-3.0, -1.0, 1.0, 3.0, 5.0, 7.0], "power of two"),
+    ([[1.0, -1.0]], "power of two"),
+    ([], "power of two"),
+    ([1.0, math.nan], "finite"),
+    ([math.inf, -1.0], "finite"),
+    ([2.5, -1.0], r"\[-2, 2\]"),
+    ([1.0, -2.0 - 1e-12], r"\[-2, 2\]"),
+    ([0.5, 0.6], "1/4 apart"),
+    ([-1.0, 0.0, 0.2, 1.0], "1/4 apart"),
+    ([1.0, 1.0], "1/4 apart"),
+])
+def test_constellation_refuses_a_ladder_the_slicer_cannot_decide(levels, reason):
+    with pytest.raises(ConfigError, match=reason):
+        Constellation("bad", levels)
+
+
+def test_constellation_points_derive_from_one_ladder_on_both_axes():
+    c = Constellation("4pam", [-1.5, -0.5, 1.5, 0.5])
+    assert c.bits_per_symbol == 4
+    for index, point in enumerate(c.points):
+        assert point == complex(c.levels[index >> 2], c.levels[index & 0b11])
+    edge = Constellation("edge", [-2.0, -1.75])  # the ends of what the slicer accepts
     rng = np.random.default_rng(8)
-    qpsk = Constellation.qpsk().points
-    shapes = [
-        Constellation("rotated qpsk", qpsk * np.exp(0.25j * np.pi), 2),
-        Constellation("relabelled qpsk", qpsk[[0, 3, 1, 2]], 2),
-        Constellation("qpsk at 10x amplitude", qpsk * 10.0, 2),
-        Constellation("qpsk at 0.1x amplitude", qpsk * 0.1, 2),
-        Constellation("8 points", np.exp(2j * np.pi * np.arange(8) / 8), 3),
-    ]
-    symbols = rng.standard_normal(5_000) + 1j * rng.standard_normal(5_000)
-    for c in shapes:
-        assert _square_ladders(c) is None, c.name
+    symbols = (rng.standard_normal(5_000) + 1j * rng.standard_normal(5_000)) * 2.0
+    for c in (c, edge):
         np.testing.assert_array_equal(demodulate_hard(c, symbols),
                                       index_bits(c, distance_search(c, symbols)))
 

@@ -107,9 +107,13 @@ def test_pairs_won_and_median_log_ratio_recover_a_known_shift(tmp_path):
     seeds = sorted(SHIFTS)
     write_results(tmp_path / "parent", "parent", shifted, seeds)
     write_results(tmp_path / "change", "change", shifted, seeds)
-    proc = run_tool(tmp_path, seeds=seeds)
-    assert proc.returncode == 0, proc.stderr
-    record = json.loads((tmp_path / "BENCH_test.json").read_text())
+    texts = []
+    for _ in range(2):  # the bootstrap is seeded: a rebuilt record is the same
+        proc = run_tool(tmp_path, seeds=seeds)
+        assert proc.returncode == 0, proc.stderr
+        texts.append((tmp_path / "BENCH_test.json").read_text())
+    assert texts[0] == texts[1]
+    record = json.loads(texts[0])
     for entry in record["workloads"].values():
         for m in BENCHMARK["end_to_end"]:
             row = entry["metrics"][m["name"]]
@@ -117,8 +121,12 @@ def test_pairs_won_and_median_log_ratio_recover_a_known_shift(tmp_path):
                 # lower is better; a pair with one zero has no log ratio, two zeros tie
                 assert row["pairs_won"] == {"parent": 2, "change": 1}
                 assert row["median_log_ratio"] == 0.0  # of ln(2/3), 0, 0 and ln 2
+                assert row["median_log_ratio_ci95"] is None  # a zero-valued metric
                 continue
             # four pairs shifted by 0.3, 0.1, 0.2 and -0.1; one tie
             up, down = (3, 1) if m["better"] == "higher" else (1, 3)
             assert row["pairs_won"] == {"change": up, "parent": down}
             assert math.isclose(row["median_log_ratio"], 0.1, rel_tol=1e-12)
+            low, high = row["median_log_ratio_ci95"]
+            assert -0.1 - 1e-12 <= low < 0.1 < high <= 0.3 + 1e-12
+

@@ -176,6 +176,19 @@ def test_training_divergence_maps_to_exit_3(tmp_path, monkeypatch, capsys):
 # ------------------------------------------------------------------ train
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--lr", "-0.5", "lr must be finite and > 0"),  # trained on to train_loss=3.14e29
+    ("--beta", "nan", "beta must be finite and non-negative"),
+])
+def test_train_refuses_a_bad_rate_or_weight_with_one_error_line(tmp_path, capsys, flag,
+                                                                 value, message):
+    code, out = run_train(tmp_path, extra=(flag, value))
+    err = capsys.readouterr().err.splitlines()
+    assert code == 3
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+    assert not out.exists()
+
+
 def test_train_writes_checkpoint_and_log(tmp_path, capsys):
     code, out = run_train(tmp_path)
     captured = capsys.readouterr().out

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vaecomm import training
 from vaecomm.channels import ChannelModel
 from vaecomm.curves import write_table
 from vaecomm.data import Dataset, generate_dataset, one_hot
@@ -415,12 +416,13 @@ def test_train_is_bitwise_deterministic():
         np.testing.assert_array_equal(pa, pb)
 
 
-def test_train_logs_clipping_once_per_epoch(caplog):
+def test_train_logs_clipping_once_per_epoch(caplog, monkeypatch):
     cfg = small_config()
     system = CommSystem(cfg)
     # 87 training rows in batches of 32: three batches, all clipped at this norm
+    monkeypatch.setattr(training, "CLIP_NORM", 1e-6)
     with caplog.at_level(logging.INFO, logger="vaecomm.training"):
-        train(system, tiny_dataset(cfg), epochs=2, batch_size=32, clip_norm=1e-6)
+        train(system, tiny_dataset(cfg), epochs=2, batch_size=32)
     messages = [r.getMessage() for r in caplog.records if r.name == "vaecomm.training"]
     assert len(messages) == 2
     for epoch, message in enumerate(messages, 1):
@@ -497,8 +499,19 @@ def test_train_rejects_bad_arguments():
         train(system, ds, epochs=-1)
     with pytest.raises(DomainError):
         train(system, ds, epochs=1, batch_size=1)
-    with pytest.raises(DomainError):
-        train(system, ds, epochs=1, validation_fraction=1.0)
+
+
+@pytest.mark.parametrize("lr", [-0.01, 0.0, math.nan, math.inf])
+def test_a_learning_rate_that_is_not_finite_and_positive_is_refused(lr):
+    # -0.01 ascended the loss, 0 left every weight as it was, and NaN stopped
+    # at the first batch blaming tx_conv1
+    cfg = small_config()
+    system = CommSystem(cfg)
+    with pytest.raises(DomainError, match="lr must be finite and > 0"):
+        Adam(system.parameters(), lr=lr)
+    for epochs in (0, 1):
+        with pytest.raises(DomainError, match="lr must be finite and > 0"):
+            train(system, tiny_dataset(cfg), epochs=epochs, lr=lr)
 
 
 def test_training_log_csv_format(tmp_path):
@@ -580,8 +593,8 @@ def test_a_train_step_and_a_sweep_stay_float32(k, n, kind, monkeypatch):
         arrays.append(("decide input", y.data))
         return decide(y)
 
-    def recording_codebook(max_rows):
-        book = codebook(max_rows)
+    def recording_codebook():
+        book = codebook()
         arrays.append(("codebook", book))
         return book
 
@@ -608,11 +621,12 @@ def test_backward_leaves_no_gradient_on_intermediates():
 
 def _train_peak_bytes(cfg, batches):
     system = CommSystem(cfg)
-    data = generate_dataset(cfg.k, cfg.block_length, num_messages=64 * batches, seed=2,
+    # 71 rows hold out 7, and 142 hold out 14: one and two full batches
+    data = generate_dataset(cfg.k, cfg.block_length, num_messages=71 * batches, seed=2,
                             num_test=1)
     tracemalloc.start()
     try:
-        train(system, data, epochs=1, batch_size=64, validation_fraction=0.0)
+        train(system, data, epochs=1, batch_size=64)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,11 +1,15 @@
 """The finite-difference component registry."""
 
+import inspect
+
 import numpy as np
 import pytest
 
 import vaecomm.gradcheck as gradcheck
 from vaecomm.errors import DomainError
 from vaecomm.gradcheck import component_names, run_all, run_component
+from vaecomm.layers import BatchNorm1D, Conv1D, GaussianSampling, PowerNormalization, elu
+from vaecomm.model import STAGES, CommSystem, SystemConfig
 from vaecomm.tensor import from_op
 
 
@@ -25,6 +29,26 @@ def test_registry_covers_layers_and_losses():
                      "power_norm", "power_norm_per_position", "elu", "softmax", "kl_mu",
                      "softmax_binary_cross_entropy", "beta_vae_loss"):
         assert required in names
+
+
+# the gradcheck components that check each kind of layer in model.STAGES; a
+# stateless stage is keyed by its function
+STAGE_COMPONENTS = {
+    Conv1D: ("conv1d_k1_input", "conv1d_weight"),
+    elu: ("elu",),
+    BatchNorm1D: ("batchnorm_train", "batchnorm_eval"),
+    GaussianSampling: ("gaussian_sampling_mu", "gaussian_sampling_logvar"),
+    PowerNormalization: ("power_norm", "power_norm_per_position"),
+}
+
+
+def test_every_stage_layer_has_a_gradcheck_component():
+    system = CommSystem(SystemConfig(k=2, n=1, hidden_filters=4, block_length=3))
+    for stage in STAGES:
+        layer = getattr(system, stage.name)
+        kind = layer if inspect.isfunction(layer) else type(layer)
+        assert kind in STAGE_COMPONENTS, f"stage {stage.name} has no gradcheck component"
+        assert set(STAGE_COMPONENTS[kind]) <= set(component_names()), stage.name
 
 
 def test_reports_are_deterministic():

@@ -294,8 +294,9 @@ def test_loss_increases_with_beta_when_kl_positive():
 
 
 def test_negative_beta_rejected():
-    with pytest.raises(DomainError):
-        beta_vae_loss(Tensor([0.5]), Tensor([1.0]), Tensor([0.0]), Tensor([0.0]), beta=-0.1)
+    for beta in (-0.1, float("nan"), float("inf")):  # a NaN beta is not below 0
+        with pytest.raises(DomainError, match="beta"):
+            beta_vae_loss(Tensor([0.5]), Tensor([1.0]), Tensor([0.0]), Tensor([0.0]), beta=beta)
 
 
 def test_beta_vae_gradients_reach_all_inputs():

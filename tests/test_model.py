@@ -63,8 +63,9 @@ def test_config_rejects_bad_channel_and_sizes():
         SystemConfig(k=4, n=0)
     with pytest.raises(ConfigError):
         SystemConfig(k=4, n=2, channel_kind="bsc")
-    with pytest.raises(ConfigError):
-        SystemConfig(k=4, n=2, beta=-1.0)
+    for beta in (-1.0, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="beta"):
+            SystemConfig(k=4, n=2, beta=beta)
 
 
 @pytest.mark.parametrize("field, value", [("k", True), ("n", 1.0), ("block_length", 4.0),
@@ -303,7 +304,7 @@ def test_identical_symbols_map_to_identical_signals_per_position():
 @pytest.mark.parametrize("bad", [-1, 16])
 def test_encode_rejects_a_symbol_outside_the_alphabet(bad):
     sys_ = CommSystem(desk_config()).eval_mode()
-    book = sys_.codebook(sys_.config.M)
+    book = sys_.codebook()
     symbols = np.zeros((2, sys_.config.block_length), dtype=np.int64)
     symbols[1, 3] = bad
     with pytest.raises(DomainError, match=str(bad)):
@@ -317,7 +318,7 @@ def test_an_overflowing_latent_is_sent_at_unit_power():
     sys_ = CommSystem(cfg)
     sys_.mu_head.weight.data[:] = 1e21
     sys_.eval_mode()
-    book = sys_.codebook(cfg.M)
+    book = sys_.codebook()
     symbols = np.random.default_rng(16).integers(0, cfg.M, size=(32, cfg.block_length))
     with np.errstate(over="ignore"):
         assert np.isinf((book[symbols] ** 2).mean(axis=(1, 2))).all()
@@ -588,6 +589,8 @@ LAYER0_SIZE, BN_SIZE = 512, 32
     (("batchnorm_running_stats", "rx_bn", "var", 0), 10 ** 400, "rx_bn.var': not a list of numbers"),
     (("format_version",), 2.0, "format_version"),
     (("format_version",), Format3(True), "format_version"),
+    (("config", "beta"), float("nan"), "config"),
+    (("config", "beta"), float("-inf"), "config"),
 ])
 def test_malformed_checkpoint_entries_raise_checkpoint_error(tmp_path, path, value, field):
     saved = tmp_path / "m.json"
@@ -616,8 +619,8 @@ def test_checkpoint_roundtrip_after_a_train_step(tmp_path_factory, k, n, m, filt
     cfg = SystemConfig(k=k, n=n, latent_multiplier=m, hidden_filters=filters,
                        channel_kind=kind, block_length=length, seed=seed)
     sys_ = CommSystem(cfg)
-    data = generate_dataset(k, length, num_messages=4, seed=seed, num_test=1)
-    train(sys_, data, epochs=1, batch_size=4, validation_fraction=0.0)  # one step
+    data = generate_dataset(k, length, num_messages=5, seed=seed, num_test=1)
+    train(sys_, data, epochs=1, batch_size=4)  # one step: one row is held out
 
     tmp = tmp_path_factory.mktemp("roundtrip")
     first, second = tmp / "a.json", tmp / "b.json"

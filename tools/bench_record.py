@@ -15,7 +15,13 @@ pairs each side won in the metric's better direction (a tie counts for
 neither), and ``median_log_ratio`` is the median over pairs of
 ln(change / parent), 0 for equal values; a pair with a value of 0 or less
 and unequal values has no log ratio and is left out of that median, which is
-null when no pair has one. It also holds the failed-operation counts, each side's
+null when no pair has one. ``median_log_ratio_ci95`` is a bootstrap 95%
+interval for that median: the 2.5% and 97.5% quantiles of the medians of
+``BOOTSTRAP_RESAMPLES`` resamples of the pairs' log ratios, drawn with
+replacement from a generator seeded with ``BOOTSTRAP_SEED``, so a record
+rebuilt from the same files holds the same interval. A metric with a value of
+0 or less in any run gets no interval (null): a log ratio needs positive
+values on both sides. It also holds the failed-operation counts, each side's
 ``source_sha256``, the run length, the seeds, the side that ran first in each
 pair and the host record of the change's first run.
 """
@@ -25,12 +31,15 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import random
 import statistics
 import sys
 from pathlib import Path
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 HOST_FIELDS = ("nproc", "machine", "python", "numpy", "blas")
+BOOTSTRAP_RESAMPLES = 2000
+BOOTSTRAP_SEED = 20201
 
 
 def load_runs(out_dir: Path, workload: str, seeds: list[int]) -> list[dict]:
@@ -58,15 +67,28 @@ def log_ratio(parent: float, change: float) -> float | None:
     return math.log(change / parent) if parent > 0 and change > 0 else None
 
 
+def bootstrap_interval(ratios: list[float]) -> list[float]:
+    """The seeded bootstrap 95% interval for the median of ``ratios``."""
+    rng = random.Random(BOOTSTRAP_SEED)
+    medians = [statistics.median(rng.choices(ratios, k=len(ratios)))
+               for _ in range(BOOTSTRAP_RESAMPLES)]
+    cuts = statistics.quantiles(medians, n=40, method="inclusive")  # 2.5% steps
+    return [cuts[0], cuts[-1]]
+
+
 def paired(parent: list[float], change: list[float], better: str) -> dict:
-    """Pairs won by each side in the better direction, and the median per-pair log ratio."""
+    """Pairs won by each side in the better direction, the median per-pair
+    log ratio and its bootstrap interval."""
     sign = 1 if better == "higher" else -1
     wins = {"parent": 0, "change": 0}
     for p, c in zip(parent, change):
         if p != c:
             wins["change" if sign * (c - p) > 0 else "parent"] += 1
     ratios = [r for r in map(log_ratio, parent, change) if r is not None]
-    return {"pairs_won": wins, "median_log_ratio": statistics.median(ratios) if ratios else None}
+    positive = all(v > 0 for v in parent + change)
+    return {"pairs_won": wins,
+            "median_log_ratio": statistics.median(ratios) if ratios else None,
+            "median_log_ratio_ci95": bootstrap_interval(ratios) if positive else None}
 
 
 def build_record(out_dirs: dict[str, Path], commits: dict[str, str], seeds: list[int],
