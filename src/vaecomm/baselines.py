@@ -73,7 +73,7 @@ class Constellation:
     _by_position: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        levels = np.asarray(self.levels, dtype=np.float64)
+        levels = np.array(self.levels, dtype=np.float64)  # a copy the caller cannot change
         side = levels.size
         if levels.ndim != 1 or side < 2 or side & (side - 1):
             raise ConfigError(f"{self.name}: a ladder needs a power of two >= 2 levels, "
@@ -91,6 +91,8 @@ class Constellation:
                    "_midpoints": (ordered[:-1] + ordered[1:]) / 2,
                    "_by_position": (labels[:, None] * side + labels[None, :]).ravel()}
         for name, value in derived.items():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
             object.__setattr__(self, name, value)
 
     @staticmethod

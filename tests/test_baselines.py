@@ -189,6 +189,16 @@ def test_constellation_points_derive_from_one_ladder_on_both_axes():
                                       index_bits(c, distance_search(c, symbols)))
 
 
+def test_constellation_keeps_a_read_only_copy_of_its_ladder():
+    ladder = np.array([-3.0, -1.0, 3.0, 1.0]) / math.sqrt(10.0)
+    c = Constellation("copy", ladder)
+    ladder[:] = 0.0  # the checked ladder is the one the slicer uses
+    assert c.levels[0] == -3.0 / math.sqrt(10.0)
+    for table in (c.levels, c.points, c._midpoints, c._by_position):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0
+
+
 # -- analytic curves --------------------------------------------------------------------
 
 
