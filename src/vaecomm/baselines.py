@@ -57,18 +57,20 @@ def qfunc(x):
     return 0.5 * erfc(np.asarray(x, dtype=np.float64) / math.sqrt(2.0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Constellation:
     """A square constellation whose axes share one Gray PAM ladder: ``levels[l]``
-    is the level of axis label l. ``points``, ``bits_per_symbol`` and the
-    slicer's tables derive from it. A ladder whose size is not a power of two
-    >= 2, or whose levels are not finite, in [-2, 2] and 1/4 apart, is a
-    ConfigError."""
+    is the level of axis label l. ``points``, ``bits_per_symbol``, the mean
+    symbol energy and the slicer's tables derive from it. A ladder whose size
+    is not a power of two >= 2, or whose levels are not finite, in [-2, 2] and
+    1/4 apart, is a ConfigError. Two constellations are equal, and hash alike,
+    when their names and ladders are."""
 
     name: str
     levels: np.ndarray
     points: np.ndarray = field(init=False, repr=False)
     bits_per_symbol: int = field(init=False)
+    symbol_energy: float = field(init=False, repr=False)
     _midpoints: np.ndarray = field(init=False, repr=False)
     _by_position: np.ndarray = field(init=False, repr=False)
 
@@ -88,12 +90,24 @@ class Constellation:
         points.imag = np.tile(levels, side)
         derived = {"levels": levels, "points": points,
                    "bits_per_symbol": 2 * (side.bit_length() - 1),
+                   "symbol_energy": float(np.mean(np.abs(points) ** 2)),
                    "_midpoints": (ordered[:-1] + ordered[1:]) / 2,
                    "_by_position": (labels[:, None] * side + labels[None, :]).ravel()}
         for name, value in derived.items():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
             object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return self.name, tuple(self.levels.tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, Constellation):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @staticmethod
     def qpsk() -> "Constellation":
@@ -255,6 +269,8 @@ def baseline_bler(c: Constellation, ebno_db: float, k: int, L: int, n_blocks: in
     matching the spectral efficiency of a learned system with R = k/n equal
     to the constellation's bits per channel use. A block errs when any of its
     L message symbols errs; a message symbol errs when any of its k bits does.
+    The noise is scaled by the constellation's mean symbol energy, so Eb/N0
+    is the energy per bit actually sent over N0 for a ladder of any scale.
     k, L, n_blocks and chunk_blocks must be Python or numpy integers, not
     bool, or DomainError is raised.
     """
@@ -275,7 +291,7 @@ def baseline_bler(c: Constellation, ebno_db: float, k: int, L: int, n_blocks: in
         raise ConfigError(f"unknown channel {channel!r}")
 
     start = time.perf_counter()
-    sigma = math.sqrt(noise_variance(ebno_db, float(c.bits_per_symbol)))
+    sigma = math.sqrt(noise_variance(ebno_db, float(c.bits_per_symbol)) * c.symbol_energy)
     rng = np.random.default_rng(seed)
     bits_per_block = k * L
     uses_per_message, ragged = divmod(k, c.bits_per_symbol)

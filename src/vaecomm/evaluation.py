@@ -6,8 +6,8 @@ of pre-normalization latents and every chunk encodes by a gather from it.
 The codebook depends only on the system, not on ``chunk_blocks``, and lives
 for one call only. The receiver decides on blocks of 512 positions
 (``CommSystem.decide``) and keeps only the argmax, so a chunk's memory does
-not grow with its size. The reference path (``transmit`` and
-``receive``) trains the system and is the tests' oracle for this one.
+not grow with its size. The whole chain (``CommSystem.end_to_end``) trains
+the system and is the tests' oracle for this path.
 
 Work is chunked; every chunk derives its own message and channel streams from
 (seed, point index, chunk index), so results are identical no matter how the

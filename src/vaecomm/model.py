@@ -11,15 +11,16 @@ applied to any block length.
 Everything the system holds and computes is float32: parameters, batch-norm
 running statistics, activations, gradients, the codebook and the decoder.
 Inputs of another dtype are cast where they enter (``_check_onehot``,
-``receive``, ``decide``).
+``decide``).
 
-``transmit``/``receive`` run the whole chain and are the reference path;
-``receive`` applies a softmax to the logits, so it returns probabilities.
-``end_to_end`` runs the same stages, stops at the logits (the loss applies
-the softmax itself) and keeps every stage's output. Evaluation runs the same
-tuples in pieces instead: ``codebook`` precomputes each message's
-pre-normalization latent once, ``encode`` gathers from it and
-power-normalizes, and ``decide`` runs the receiver on blocks of
+``end_to_end`` is the one path that runs the whole chain: transmitter,
+channel, receiver and the loss, computed from the logits (the loss applies
+the softmax itself). It keeps every stage's output, so the transmitted
+signal is its ``power_norm`` entry and the logits its ``rx_conv2`` entry;
+training, validation and the tests' reference for the codebook path all read
+it. Evaluation runs the same tuples in pieces instead: ``codebook``
+precomputes each message's pre-normalization latent once, ``encode`` gathers
+from it and power-normalizes, and ``decide`` runs the receiver on blocks of
 ``_DECIDE_ROWS`` positions and keeps only each position's argmax, so no
 full-chunk activation is allocated.
 """
@@ -32,6 +33,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .channels import CHANNEL_KINDS, ChannelModel
+from .data import one_hot
 from .errors import ConfigError, DomainError
 from .layers import (
     BatchNorm1D,
@@ -39,11 +41,10 @@ from .layers import (
     GaussianSampling,
     PowerNormalization,
     elu,
-    softmax,
 )
 from .losses import LossBreakdown, beta_vae_loss
 from .seeding import derive_seed
-from .tensor import SYSTEM_DTYPE, Tensor, cast, no_grad
+from .tensor import SYSTEM_DTYPE, Tensor, no_grad
 
 VALID_LATENT_MULTIPLIERS = (2, 4)
 
@@ -179,9 +180,6 @@ _PARAMETER_FIELDS = ((Conv1D, ("weight", "bias")), (BatchNorm1D, ("gamma", "shif
 
 @dataclass
 class EndToEndResult:
-    mu: Tensor
-    logvar: Tensor
-    signal: Tensor
     loss: Tensor
     breakdown: LossBreakdown
     # (stage name, output) in chain order, with the channel output between
@@ -244,16 +242,6 @@ class CommSystem:
                 record.append((name, env[output].data))
         return env
 
-    def transmit(self, onehot) -> tuple[Tensor, Tensor, Tensor]:
-        """One-hot messages (batch, L, M) to power-normalized signal, plus
-        the posterior mu and logvar the signal was drawn from."""
-        env = self._run(TRANSMITTER, {"x": self._check_onehot(onehot)})
-        return env["signal"], env["mu"], env["logvar"]
-
-    def receive(self, y: Tensor) -> Tensor:
-        """Channel output (batch, L, latent_dim) to per-position probabilities."""
-        return softmax(self._run(RECEIVER, {"y": cast(y, SYSTEM_DTYPE)})["h"])
-
     def end_to_end(self, onehot, channel: ChannelModel) -> EndToEndResult:
         """Forward through the channel and the loss, computed from the logits.
         Every stage's output is kept in ``stages``; in training the graph
@@ -266,8 +254,7 @@ class CommSystem:
         env = self._run(RECEIVER, env, stages)
         loss, breakdown = beta_vae_loss(env["h"], x, env["mu"], env["logvar"],
                                         self.config.beta)
-        return EndToEndResult(mu=env["mu"], logvar=env["logvar"], signal=env["signal"],
-                              loss=loss, breakdown=breakdown, stages=stages)
+        return EndToEndResult(loss=loss, breakdown=breakdown, stages=stages)
 
     # -- eval-mode codebook path --------------------------------------------------
 
@@ -281,19 +268,15 @@ class CommSystem:
             raise ConfigError("codebook requires eval mode; call eval_mode() first")
         M = self.config.M
         book = np.empty((M, self.config.latent_dim), dtype=SYSTEM_DTYPE)
-        x = np.zeros((1, min(_CODEBOOK_ROWS, M), M), dtype=SYSTEM_DTYPE)  # one slice, reused
         with no_grad():
             for start in range(0, M, _CODEBOOK_ROWS):
-                rows = np.arange(min(_CODEBOOK_ROWS, M - start))
-                x[0, rows, start + rows] = 1.0
-                latent = self._run(_ENCODER, {"x": Tensor(x[:, :rows.size])})["latent"]
-                book[start:start + rows.size] = latent.data[0]
-                x[0, rows, start + rows] = 0.0
+                x = one_hot(np.arange(start, min(start + _CODEBOOK_ROWS, M))[None], M)
+                book[start:start + x.shape[1]] = self._run(_ENCODER, {"x": x})["latent"].data[0]
         return book
 
     def encode(self, codebook: np.ndarray, symbols: np.ndarray) -> Tensor:
         """Integer symbols (batch, L) to the power-normalized signal: a gather
-        from ``codebook()`` and the power norm, equal to eval-mode transmit.
+        from ``codebook()`` and the power norm, equal to the eval-mode transmitter.
         A symbol outside [0, M) raises DomainError."""
         lo, hi = symbols.min(initial=0), symbols.max(initial=0)
         if lo < 0 or hi >= self.config.M:
@@ -321,7 +304,8 @@ class CommSystem:
         return decided.reshape(y.shape[:-1])
 
     def _check_onehot(self, onehot) -> Tensor:
-        x = cast(onehot if isinstance(onehot, Tensor) else Tensor(onehot), SYSTEM_DTYPE)
+        x = Tensor(np.asarray(onehot.data if isinstance(onehot, Tensor) else onehot,
+                              dtype=SYSTEM_DTYPE))
         if x.ndim != 3 or x.shape[2] != self.config.M:
             raise DomainError(
                 f"expected one-hot input of shape (batch, L, {self.config.M}), got {x.shape}"

@@ -261,14 +261,6 @@ def from_op(data: np.ndarray, parents: tuple, grad_fn) -> Tensor:
     return out
 
 
-def cast(x: Tensor, dtype) -> Tensor:
-    """``x`` in ``dtype``: ``x`` itself if it already is, else a node whose
-    gradient flows back unchanged (cast back to ``x``'s dtype)."""
-    if x.data.dtype == dtype:
-        return x
-    return from_op(x.data.astype(dtype), (x,), lambda g: (g,))
-
-
 def _wrap(value, like: Tensor) -> Tensor:
     """``value`` as a tensor: a Tensor as is, anything else as a constant of
     ``like``'s dtype (a float64 0-d array would upcast a float32 product)."""

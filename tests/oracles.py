@@ -1,10 +1,15 @@
-"""Sampling oracles that tests check closed-form results against."""
+"""Oracles that tests check results against: a sampling estimate for
+closed-form expectations, and the whole chain's stage outputs."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from vaecomm.channels import ChannelModel
 from vaecomm.errors import DomainError, ShapeMismatchError
+from vaecomm.tensor import no_grad
 
 
 def monte_carlo_expectation(f, mu: np.ndarray, logvar: np.ndarray,
@@ -27,3 +32,14 @@ def monte_carlo_expectation(f, mu: np.ndarray, logvar: np.ndarray,
     vals = np.asarray(f(h), dtype=np.float64)
     est = vals.mean(axis=0)
     return est.item() if np.ndim(est) == 0 or est.size == 1 else est
+
+
+def chain_stages(system, onehot, channel: ChannelModel | None = None) -> dict:
+    """Every stage output of ``system.end_to_end``, by stage name, computed
+    without a graph: the signal is ``"power_norm"``, the channel output
+    ``"channel"`` and the logits ``"rx_conv2"``. Without ``channel`` the
+    signal goes through the noise-free AWGN channel."""
+    if channel is None:
+        channel = ChannelModel("awgn", math.inf, system.config.code_rate)
+    with no_grad():
+        return dict(system.end_to_end(onehot, channel).stages)

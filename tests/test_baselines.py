@@ -199,6 +199,32 @@ def test_constellation_keeps_a_read_only_copy_of_its_ladder():
             table[0] = 0
 
 
+def test_constellations_compare_and_hash_by_name_and_ladder():
+    assert Constellation.qpsk() == Constellation.qpsk()
+    assert Constellation.qam16() == Constellation.by_name("qam16")
+    assert Constellation.qpsk() != Constellation.qam16()
+    ladder = np.array([1.0, -1.0]) / math.sqrt(2.0)
+    assert Constellation("other", ladder) != Constellation.qpsk()  # same ladder, new name
+    assert Constellation("qpsk", 2 * ladder) != Constellation.qpsk()
+    assert Constellation.qpsk() != "qpsk"
+    table = {Constellation.qpsk(): "qpsk", Constellation.qam16(): "16qam"}
+    assert table[Constellation.by_name("qpsk")] == "qpsk"
+    assert table[Constellation.by_name("16qam")] == "16qam"
+    assert len({Constellation.qpsk(), Constellation.qpsk()}) == 1
+
+
+@pytest.mark.parametrize("channel", ["awgn", "rayleigh"])
+def test_baseline_runs_a_scaled_ladder_at_its_labelled_ebno(channel):
+    # the noise follows the mean symbol energy, so scaling the ladder by 2
+    # scales the received symbols by 2 and decides every one alike
+    scaled = Constellation("qpsk", np.array([2.0, -2.0]) / math.sqrt(2.0))
+    assert scaled.symbol_energy == 4.0 and Constellation.qpsk().symbol_energy == 1.0
+    args = dict(ebno_db=4.0, k=4, L=5, n_blocks=3_000, seed=9, channel=channel)
+    reference = baseline_bler(Constellation.qpsk(), **args)
+    assert reference.symbol_errors > 100
+    assert baseline_bler(scaled, **args) == reference
+
+
 # -- analytic curves --------------------------------------------------------------------
 
 

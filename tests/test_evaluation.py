@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import chain_stages
 from vaecomm import evaluation, model
 from vaecomm.channels import ChannelModel
 from vaecomm.curves import dataclass_table, write_table
@@ -112,13 +113,13 @@ def test_codebook_path_matches_transmit_and_receive(k, n, m, kind, length, rows,
     ebno_db, n_blocks = 2.0, 9
 
     symbols, channel = chunk_streams(cfg, ebno_db, length, n_blocks, seed)
+    stages = chain_stages(system, one_hot(symbols, cfg.M), channel)
+    reference, decided = stages["power_norm"], stages["rx_conv2"].argmax(axis=2)
     with no_grad():
-        reference, _, _ = system.transmit(one_hot(symbols, cfg.M))
-        decided = np.argmax(system.receive(channel.apply(reference)).data, axis=2)
         signal = system.encode(codebook, symbols)
     # two float32 paths: |a - b| <= 8 eps(float32) max(1, |b|)
-    tol = 8 * np.finfo(np.float32).eps * np.maximum(1.0, np.abs(reference.data))
-    assert np.all(np.abs(signal.data - reference.data) <= tol)
+    tol = 8 * np.finfo(np.float32).eps * np.maximum(1.0, np.abs(reference))
+    assert np.all(np.abs(signal.data - reference) <= tol)
     _, channel = chunk_streams(cfg, ebno_db, length, n_blocks, seed)
     with no_grad():
         received = channel.apply(signal)
@@ -165,11 +166,9 @@ def test_decide_over_several_row_blocks_matches_the_reference(k, n):
     cfg = SystemConfig(k=k, n=n, block_length=length, seed=5)
     system = CommSystem(cfg).eval_mode()
     symbols, channel = chunk_streams(cfg, 0.0, length, n_blocks, 5)
-    with no_grad():
-        signal, _, _ = system.transmit(one_hot(symbols, cfg.M))
-        received = channel.apply(signal)
-        reference = np.argmax(system.receive(received).data, axis=2)
-    decided = system.decide(received)
+    stages = chain_stages(system, one_hot(symbols, cfg.M), channel)
+    reference = stages["rx_conv2"].argmax(axis=2)
+    decided = system.decide(Tensor(stages["channel"]))
     assert decided.dtype == np.int64 and decided.shape == (n_blocks, length)
     np.testing.assert_array_equal(decided, reference)
     assert len(np.unique(decided)) > 4  # the untrained receiver still tells symbols apart

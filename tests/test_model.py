@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vaecomm import CheckpointError, ConfigError, DomainError, Tensor
+from oracles import chain_stages
+from vaecomm import CheckpointError, ConfigError, DomainError
 from vaecomm.channels import ChannelModel
 from vaecomm.checkpoint import load_checkpoint, save_checkpoint
 from vaecomm.data import generate_dataset
@@ -134,57 +135,46 @@ def test_parameter_count_default_width():
     assert sys_.parameter_count() == 78616
 
 
-# -- transmit / receive -------------------------------------------------------------
+# -- the chain's stage outputs ---------------------------------------------------------
 
 
 def test_transmit_shapes_and_power():
     cfg = desk_config()
     sys_ = CommSystem(cfg).eval_mode()
-    x = onehot_batch(cfg, np.random.default_rng(0))
-    signal, mu, logvar = sys_.transmit(x)
-    assert signal.shape == (8, 10, 4)
-    assert mu.shape == (8, 10, 4)
-    assert logvar.shape == (8, 10, 4)
-    assert_close_f32((signal.data.astype(np.float64)**2).mean(axis=(1, 2)), 1.0)
+    stages = chain_stages(sys_, onehot_batch(cfg, np.random.default_rng(0)))
+    for name in ("mu_head", "logvar_head", "power_norm", "channel"):
+        assert stages[name].shape == (8, 10, 4), name
+    assert stages["rx_conv2"].shape == (8, 10, 16)
+    assert_close_f32((stages["power_norm"].astype(np.float64)**2).mean(axis=(1, 2)), 1.0)
 
 
 def test_transmit_power_constraint_in_train_mode():
     cfg = desk_config()
     sys_ = CommSystem(cfg).train_mode()
-    signal, _, _ = sys_.transmit(onehot_batch(cfg, np.random.default_rng(1)))
-    assert_close_f32((signal.data.astype(np.float64)**2).mean(axis=(1, 2)), 1.0)
+    signal = chain_stages(sys_, onehot_batch(cfg, np.random.default_rng(1)))["power_norm"]
+    assert_close_f32((signal.astype(np.float64)**2).mean(axis=(1, 2)), 1.0)
 
 
-def test_transmit_rejects_non_onehot():
+def test_end_to_end_rejects_non_onehot():
     cfg = desk_config()
     sys_ = CommSystem(cfg)
+    ch = ChannelModel("awgn", 6.0, cfg.code_rate, rng_seed=2)
     bad = onehot_batch(cfg, np.random.default_rng(2))
     bad[0, 0, :] = 0.5
     with pytest.raises(DomainError):
-        sys_.transmit(bad)
+        sys_.end_to_end(bad, ch)
     with pytest.raises(DomainError):
-        sys_.transmit(np.zeros((2, 10, 16)))
+        sys_.end_to_end(np.zeros((2, 10, 16)), ch)
     with pytest.raises(DomainError):
-        sys_.transmit(np.zeros((2, 10, 7)))
-
-
-def test_receive_rows_are_distributions():
-    cfg = desk_config()
-    sys_ = CommSystem(cfg).eval_mode()
-    y = Tensor(np.random.default_rng(3).normal(size=(4, 10, 4)))
-    probs = sys_.receive(y).data
-    assert probs.shape == (4, 10, 16)
-    assert_close_f32(probs.astype(np.float64).sum(axis=2), 1.0)
-    assert np.all(probs > 0.0)
+        sys_.end_to_end(np.zeros((2, 10, 7)), ch)
 
 
 def test_eval_transmit_is_deterministic():
     cfg = desk_config()
     sys_ = CommSystem(cfg).eval_mode()
     x = onehot_batch(cfg, np.random.default_rng(4))
-    a, _, _ = sys_.transmit(x)
-    b, _, _ = sys_.transmit(x)
-    np.testing.assert_array_equal(a.data, b.data)
+    np.testing.assert_array_equal(chain_stages(sys_, x)["power_norm"],
+                                  chain_stages(sys_, x)["power_norm"])
 
 
 # -- end to end ------------------------------------------------------------------------
@@ -245,8 +235,9 @@ def test_end_to_end_shapes_and_gradients_over_configs(k, n, m, filters, kind, le
         assert p.grad is not None, name
         assert p.grad.dtype == np.float32 and p.grad.shape == p.shape, name
         assert np.isfinite(p.grad).all(), name
-    assert res.signal.shape == (batch, length, m * n)
-    assert_close_f32((res.signal.data.astype(np.float64) ** 2).mean(axis=(1, 2)), 1.0)
+    signal = dict(res.stages)["power_norm"]
+    assert signal.shape == (batch, length, m * n)
+    assert_close_f32((signal.astype(np.float64) ** 2).mean(axis=(1, 2)), 1.0)
 
 
 def test_trace_names_every_stage():
@@ -282,8 +273,7 @@ def test_kernel1_system_is_block_length_equivariant():
         grouped = symbols.reshape(-1, L)
         x = np.zeros((grouped.shape[0], L, cfg.M))
         np.put_along_axis(x, grouped[..., None], 1.0, axis=2)
-        signal, _, _ = sys_.transmit(x)
-        outputs[L] = signal.data.reshape(600, cfg.latent_dim)
+        outputs[L] = chain_stages(sys_, x)["power_norm"].reshape(600, cfg.latent_dim)
 
     np.testing.assert_array_equal(outputs[10], outputs[50])
     np.testing.assert_array_equal(outputs[10], outputs[100])
@@ -295,10 +285,9 @@ def test_identical_symbols_map_to_identical_signals_per_position():
     sys_.power_norm.per_position = True
     x = np.zeros((1, 6, cfg.M))
     x[:, :, 3] = 1.0  # same symbol at every position
-    signal, _, _ = sys_.transmit(x)
-    first = signal.data[0, 0]
+    signal = chain_stages(sys_, x)["power_norm"]
     for pos in range(6):
-        np.testing.assert_array_equal(signal.data[0, pos], first)
+        np.testing.assert_array_equal(signal[0, pos], signal[0, 0])
 
 
 @pytest.mark.parametrize("bad", [-1, 16])
@@ -434,9 +423,9 @@ def test_checkpoint_loaded_system_predicts_identically(tmp_path):
     save_checkpoint(sys_, str(path))
     loaded = load_checkpoint(str(path)).eval_mode()
     x = onehot_batch(cfg, np.random.default_rng(10))
-    a, _, _ = sys_.transmit(x)
-    b, _, _ = loaded.transmit(x)
-    np.testing.assert_array_equal(a.data, b.data)
+    a, b = chain_stages(sys_, x), chain_stages(loaded, x)
+    np.testing.assert_array_equal(a["power_norm"], b["power_norm"])
+    np.testing.assert_array_equal(a["rx_conv2"], b["rx_conv2"])
 
 
 @pytest.mark.parametrize("field", ["layers[tx_conv1.weight].float32le",

@@ -5,8 +5,13 @@ The benchmark's files are parsed, not imported, so this runs no workload.
 A name counts as reached when a ``from vaecomm... import`` binds it, or when
 it is read as an attribute of a name bound to a vaecomm module (such as
 ``evaluation.X`` after ``from vaecomm import evaluation``). Keywords are
-checked on calls of reached names; a method called on an object the
-benchmark built (``system.decide(...)``) is not followed.
+checked on calls of reached names.
+
+The benchmark also reads attributes off the systems it built: every
+attribute of a name in ``SYSTEM_NAMES`` (such as ``system._check_onehot``)
+and every stage of tracing.py's ``TX_STAGES``/``RX_STAGES`` that it looks up
+on the system must exist on a small ``CommSystem``. Keywords passed to those
+methods are not followed.
 """
 
 import ast
@@ -15,8 +20,14 @@ import inspect
 from pathlib import Path
 
 import vaecomm
+from vaecomm.model import CommSystem, SystemConfig
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+# names the benchmark binds to a CommSystem it built
+SYSTEM_NAMES = ("system", "replica", "trained")
+# tracing.py's stage tables: every entry but these is a stage of the system
+TRACE_TABLES = ("TX_STAGES", "RX_STAGES")
+LIBRARY_FUNCTION_STAGES = ("softmax",)
 
 
 def _lookup(module_name: str, name: str):
@@ -117,6 +128,34 @@ def test_every_keyword_the_benchmark_passes_is_a_parameter():
     wrong = sorted(ref for ref in passed
                    if (target := _lookup(ref[1], ref[2])) is None or not _accepts(target, ref[3]))
     assert not wrong, f"perfbench passes keywords the library no longer takes: {wrong}"
+
+
+def _system_attributes(tree: ast.Module) -> set[str]:
+    """Every attribute the parsed file reads off a name in SYSTEM_NAMES."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in SYSTEM_NAMES}
+
+
+def _traced_stages(tree: ast.Module) -> set[str]:
+    """The stage names in the file's TRACE_TABLES assignments."""
+    return {stage for node in tree.body if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Name) and target.id in TRACE_TABLES
+            for stage, _, _ in ast.literal_eval(node.value)}
+
+
+def test_every_system_attribute_the_benchmark_reads_exists():
+    trees = _trees()
+    read = {attr for _, tree in trees for attr in _system_attributes(tree)}
+    stages = {stage for name, tree in trees if name == "tracing.py"
+              for stage in _traced_stages(tree)} - set(LIBRARY_FUNCTION_STAGES)
+    # what the benchmark is known to read: both passes found something
+    assert read >= {"_check_onehot", "parameters", "config", "eval_mode"}
+    assert stages >= {"tx_conv1", "power_norm", "rx_conv2"}
+    system = CommSystem(SystemConfig(k=2, n=1, hidden_filters=4, block_length=2))
+    missing = sorted(attr for attr in read | stages if not hasattr(system, attr))
+    assert not missing, f"perfbench reads system attributes the library no longer has: {missing}"
 
 
 def test_every_exported_name_exists():
