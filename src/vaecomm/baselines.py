@@ -18,15 +18,14 @@ SciPy is required, but only the analytic curves load it: ``qfunc`` imports
 run without SciPy, which would be most of a cold import's time.
 
 Hard decisions are nearest-point decisions by complex distance, with ties
-taken by the lowest point index. On a square constellation the nearest point
-is the nearest I level and the nearest Q level, each decided from its own
-axis by comparisons with the midpoints between levels. The slicer gives the
-distance search's decisions by construction: an entry within a guard band of
-a midpoint, scaled to the square of the symbol's largest axis magnitude, and
-every non-finite or huge entry are decided by the distance search itself. So
-a tie, which sits on a midpoint, still goes to the lowest point index. The
-guard band rests on the ladder's levels lying in [-2, 2], at least 1/4
-apart, and ``Constellation`` refuses any other ladder.
+taken by the lowest point index. On a square constellation that point is the
+nearest I level and the nearest Q level, so each is decided on its own
+contiguous float64 array, I or Q, by comparisons with the midpoints between
+levels. A symbol with an axis within 2^-24 of a midpoint (so every tie) or
+past |64| (so NaN and inf) is decided by the distance search itself. The
+guard rests on the ladder's levels lying in [-2, 2], at least 1/4 apart,
+which ``Constellation`` requires. On AWGN, ``baseline_bler`` builds no
+complex array; complex arithmetic remains only in Rayleigh's equalization.
 
 Each ``baseline_bler`` call logs one INFO line (constellation, Eb/N0, blocks,
 block errors, seconds, bits/s) on the ``vaecomm.baselines`` logger.
@@ -149,11 +148,12 @@ def _point_index(c: Constellation, bits: np.ndarray) -> np.ndarray:
 def demodulate_hard(c: Constellation, symbols: np.ndarray) -> np.ndarray:
     """Nearest-point decisions back to bits; ties take the lowest index.
 
-    The I and Q levels are sliced per axis, and entries within a guard band of
-    a midpoint, or not finite, go through the complex distance search; see the
-    module docstring. The bits equal those of the distance search alone.
+    The I and Q levels are sliced per axis, and entries near a midpoint, past
+    the axis limit or not finite go through the complex distance search; see
+    the module docstring. The bits equal those of the distance search alone.
     """
-    idx = _decide(c, np.asarray(symbols, dtype=np.complex128).ravel())
+    symbols = np.asarray(symbols, dtype=np.complex128).ravel()
+    idx = _decide(c, symbols.real, symbols.imag)
     return _index_bits(c, idx).astype(np.int64)
 
 
@@ -168,47 +168,36 @@ def _nearest(c: Constellation, symbols: np.ndarray) -> np.ndarray:
     return np.argmin(np.abs(symbols[:, None] - c.points[None, :]) ** 2, axis=1)
 
 
-# When the slicer may decide. The search rounds each squared distance
-# |y - p|^2 by a few ulps, and with levels in [-2, 2] that distance is at most
-# 20 max(1, s)^2, where s = max(|Re y|, |Im y|). With levels at least 1/4
-# apart, when both axes of y are at least m from every midpoint, every other
-# point is at least m/2 farther (squared) than the nearest one. So once
-# m > _GUARD * max(1, s)^2, about 100 times the rounding of two distances
-# at a relative error of 8 eps each, the slicer's point is the search's.
-# Past _SLICE_LIMIT the squared distances may overflow, and the search alone
-# decides.
-_GUARD = 2.0 ** -36
-_SLICE_LIMIT = 2.0 ** 500
+# When the slicer may decide. The search rounds each squared distance by a
+# few ulps, and with levels in [-2, 2] and both axes in [-64, 64] it is at
+# most 20 * 64^2. With levels at least 1/4 apart, when both axes are more
+# than m from every midpoint, every other point is at least m/2 farther
+# (squared) than the nearest. So once m > _GUARD = 64^2 * 2^-36, about 100
+# times the rounding of two such distances, the slicer's point is the search's.
+_AXIS_LIMIT = 64.0
+_GUARD = 2.0 ** -24
 
 
-def _slice(x: np.ndarray, midpoints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each entry's level position (the midpoints below it) and its distance
-    to the nearest midpoint. A tie at a midpoint lies inside every guard band,
-    so the distance search, not the position, decides it."""
-    pos = np.zeros(x.shape, dtype=np.intp)
-    margin = np.full(x.shape, np.inf)
-    for m in midpoints:
-        pos += x > m
-        np.minimum(margin, np.abs(x - m), out=margin)
-    return pos, margin
-
-
-def _decide(c: Constellation, symbols: np.ndarray) -> np.ndarray:
-    """Point index of each flat complex symbol, equal to ``_nearest``'s."""
-    x, y = symbols.real, symbols.imag
-    i_pos, i_margin = _slice(x, c._midpoints)
-    q_pos, q_margin = _slice(y, c._midpoints)
-    idx = c._by_position[i_pos * c.levels.size + q_pos]
-
-    scale = np.maximum(np.abs(x), np.abs(y))
-    sure = scale <= _SLICE_LIMIT  # False for NaN and inf
-    np.clip(scale, 1.0, _SLICE_LIMIT, out=scale)
-    band = scale * scale * _GUARD
-    sure &= i_margin > band
-    sure &= q_margin > band
+def _decide(c: Constellation, i: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Point index of each symbol i + jq, given as two flat float64 arrays,
+    equal to ``_nearest``'s. An axis's level position is the number of
+    midpoints below it. A symbol with an axis past _AXIS_LIMIT (NaN and inf
+    too) or within _GUARD of a midpoint, so every tie, goes to the search."""
+    sure = np.ones(i.size, dtype=bool)
+    pos = np.zeros((2, i.size), dtype=np.uint8)  # a ladder has at most 16 levels
+    for x, p in zip((i, q), pos):
+        mag = np.abs(x)
+        sure &= mag <= _AXIS_LIMIT
+        for m in c._midpoints:
+            p += x > m
+            sure &= (mag if m == 0.0 else np.abs(x - m)) > _GUARD
+    del mag
+    idx = c._by_position[pos[0] * c.levels.size + pos[1]]
     unsure = np.flatnonzero(~sure)
     if unsure.size:
-        idx[unsure] = _nearest(c, symbols[unsure])
+        symbols = np.empty(unsure.size, dtype=np.complex128)
+        symbols.real, symbols.imag = i[unsure], q[unsure]
+        idx[unsure] = _nearest(c, symbols)
     return idx
 
 
@@ -260,6 +249,27 @@ def _complex(re: np.ndarray, im: np.ndarray, scale: float) -> np.ndarray:
     return out
 
 
+def _received(c: Constellation, sent: np.ndarray, sigma: float, channel: str,
+              rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The received points' I and Q parts as two contiguous arrays. On AWGN each
+    is its level plus sigma times its draw, bit for bit the complex sum's part;
+    Rayleigh's equalization stays complex, since only so does division keep its
+    bits. The draws come in order: noise I, noise Q, then Rayleigh's h I and Q."""
+    i = rng.standard_normal(sent.size)
+    q = rng.standard_normal(sent.size)
+    if channel == "rayleigh":
+        noise = _complex(i, q, sigma)
+        h = _complex(rng.standard_normal(sent.size), rng.standard_normal(sent.size),
+                     math.sqrt(0.5))
+        rx = (h * c.points[sent] + noise) / h  # perfect-CSI coherent equalization
+        return rx.real.copy(), rx.imag.copy()
+    i *= sigma
+    i += c.levels[sent >> c.bits_per_symbol // 2]
+    q *= sigma
+    q += c.levels[sent & (c.levels.size - 1)]
+    return i, q
+
+
 def baseline_bler(c: Constellation, ebno_db: float, k: int, L: int, n_blocks: int,
                   seed: int, channel: str = "awgn",
                   chunk_blocks: int = 4096) -> BaselineResult:
@@ -284,9 +294,7 @@ def baseline_bler(c: Constellation, ebno_db: float, k: int, L: int, n_blocks: in
     if chunk_blocks < 1:
         raise DomainError(f"chunk_blocks must be >= 1, got {chunk_blocks}")
     if (k * L) % c.bits_per_symbol != 0:
-        raise ConfigError(
-            f"block of {k * L} bits does not fill whole {c.name} symbols"
-        )
+        raise ConfigError(f"block of {k * L} bits does not fill whole {c.name} symbols")
     if channel not in CHANNEL_KINDS:
         raise ConfigError(f"unknown channel {channel!r}")
 
@@ -303,17 +311,8 @@ def baseline_bler(c: Constellation, ebno_db: float, k: int, L: int, n_blocks: in
     done = 0
     while done < n_blocks:
         nb = min(chunk_blocks, n_blocks - done)
-        bits = rng.integers(0, 2, size=nb * bits_per_block)
-        sent = _point_index(c, bits)
-        tx = c.points[sent]
-        noise = _complex(rng.standard_normal(tx.shape), rng.standard_normal(tx.shape), sigma)
-        if channel == "rayleigh":
-            h = _complex(rng.standard_normal(tx.shape), rng.standard_normal(tx.shape),
-                         math.sqrt(0.5))
-            rx = (h * tx + noise) / h  # perfect-CSI coherent equalization
-        else:
-            rx = tx + noise
-        wrong = sent ^ _decide(c, rx)  # the wrong bits of each constellation symbol
+        sent = _point_index(c, rng.integers(0, 2, size=nb * bits_per_block))
+        wrong = sent ^ _decide(c, *_received(c, sent, sigma, channel, rng))  # wrong bits
         bit_errors += int(popcount[wrong].sum())
         if ragged:  # a message symbol straddles constellation symbols
             sym_wrong = _index_bits(c, wrong).reshape(nb, L, k).any(axis=2)

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -142,6 +143,19 @@ def test_demodulate_matches_the_distance_search_on_random_symbols(name):
                                       index_bits(c, distance_search(c, symbols)))
 
 
+def guard_edge_values(c):
+    """The slicer's guard edges on one axis: +-64 and the next floats past them;
+    each midpoint, the points 2^-24 either side of it, and the floats one ulp
+    either side of those; NaN and +-inf."""
+    mids = (np.unique(c.levels)[:-1] + np.unique(c.levels)[1:]) / 2
+    values = [64.0, -64.0, np.nextafter(64.0, np.inf), np.nextafter(-64.0, -np.inf)]
+    for m in mids:
+        values.append(m)
+        for edge in (m - 2.0 ** -24, m + 2.0 ** -24):
+            values += [edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)]
+    return np.array(values + [np.nan, np.inf, -np.inf])
+
+
 @pytest.mark.parametrize("name", ["qpsk", "16qam"])
 def test_demodulate_matches_the_distance_search_at_thresholds_and_extremes(name):
     c = Constellation.by_name(name)
@@ -151,10 +165,17 @@ def test_demodulate_matches_the_distance_search_at_thresholds_and_extremes(name)
     rng = np.random.default_rng(5)
     near = np.concatenate([axis + rng.normal(scale=1e-12, size=axis.size),
                            axis * (1 + rng.normal(scale=1e-15, size=axis.size))])
-    grid = np.concatenate([pairs(np.concatenate([axis, big, -big, extremes])), pairs(near)])
+    edges = guard_edge_values(c)
+    grid = np.concatenate([pairs(np.concatenate([axis, big, -big, extremes])), pairs(near),
+                           pairs(np.concatenate([edges, axis]))])
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         got = demodulate_hard(c, grid)
     np.testing.assert_array_equal(got, index_bits(c, distance_search(c, grid)))
+    # 1e300's squared distances overflow to inf on both paths, which tie at index 0
+    huge = pairs(np.concatenate([[1e300, -1e300], edges]))
+    with np.errstate(over="ignore"):
+        np.testing.assert_array_equal(demodulate_hard(c, huge),
+                                      index_bits(c, distance_search(c, huge)))
 
 
 @pytest.mark.parametrize("levels, reason", [
@@ -407,6 +428,36 @@ def test_baseline_counts_are_pinned(key):
     r = baseline_bler(Constellation.by_name(name), ebno, k=k, L=4, n_blocks=2500, seed=7,
                       channel=channel, chunk_blocks=1000)
     assert (r.block_errors, r.symbol_errors, r.bit_errors) == PINNED_COUNTS[key]
+
+
+# (constellation, channel, Eb/N0, k): (block, symbol, bit) errors at the benchmark's
+# size: L=10, 25,000 blocks, so six full 4,096-block chunks and one of 424
+PINNED_BENCHMARK_COUNTS = {
+    ("qpsk", "awgn", -6.0, 4): (24999, 165706, 238107),
+    ("qpsk", "awgn", 0.0, 4): (24007, 69526, 78316),
+    ("qpsk", "awgn", -6.0, 8): (25000, 221713, 477246),
+    ("qpsk", "awgn", 0.0, 8): (24955, 119513, 156736),
+    ("16qam", "rayleigh", 6.0, 8): (24969, 117206, 176056),
+}
+
+
+@pytest.mark.parametrize("key", list(PINNED_BENCHMARK_COUNTS),
+                         ids=lambda key: "-".join(map(str, key)))
+def test_baseline_counts_are_pinned_at_the_benchmark_size(key):
+    name, channel, ebno, k = key
+    r = baseline_bler(Constellation.by_name(name), ebno, k=k, L=10, n_blocks=25_000, seed=1,
+                      channel=channel)
+    assert (r.block_errors, r.symbol_errors, r.bit_errors) == PINNED_BENCHMARK_COUNTS[key]
+
+
+def test_baseline_call_peaks_under_12_mb_at_k8():
+    tracemalloc.start()
+    try:
+        baseline_bler(Constellation.qpsk(), 0.0, k=8, L=10, n_blocks=25_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12e6, f"peak {peak / 1e6:.1f} MB"
 
 
 @pytest.mark.parametrize("arg, value", [
