@@ -147,7 +147,8 @@ def guard_edge_values(c):
     """The slicer's guard edges on one axis: +-64 and the next floats past them;
     each midpoint, the points 2^-24 either side of it, and the floats one ulp
     either side of those; NaN and +-inf."""
-    mids = (np.unique(c.levels)[:-1] + np.unique(c.levels)[1:]) / 2
+    levels = np.unique(c.levels)
+    mids = (levels[:-1] + levels[1:]) / 2
     values = [64.0, -64.0, np.nextafter(64.0, np.inf), np.nextafter(-64.0, -np.inf)]
     for m in mids:
         values.append(m)
