@@ -164,8 +164,11 @@ def _index_bits(c: Constellation, idx: np.ndarray) -> np.ndarray:
 
 
 def _nearest(c: Constellation, symbols: np.ndarray) -> np.ndarray:
-    """Point index at the least complex distance; ties take the lowest index."""
-    return np.argmin(np.abs(symbols[:, None] - c.points[None, :]) ** 2, axis=1)
+    """Point index at the least complex distance; ties take the lowest index.
+    A distance past about 1.3e154 squares to inf; the index is then the
+    lowest among the infinite ones, so the overflow is not a fault."""
+    with np.errstate(over="ignore"):
+        return np.argmin(np.abs(symbols[:, None] - c.points[None, :]) ** 2, axis=1)
 
 
 # When the slicer may decide. The search rounds each squared distance by a

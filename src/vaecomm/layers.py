@@ -198,18 +198,23 @@ class PowerNormalization:
         return from_op(out, (x,), grad)
 
 
-def elu(x: Tensor) -> Tensor:
-    """exp(x) - 1 for x < 0, x otherwise; saturates to -1 below -exp_clip.
+def elu_parts(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ELU of an array, and ``neg``: the exp(x) - 1 branch, clipped to <= 0.
 
     ``neg`` is exactly 0 wherever x >= 0, so adding max(x, 0) selects the
     branch without a mask, and ``neg + 1`` is the slope on both sides.
     """
-    d = x.data
     neg = np.clip(d, -exp_clip(d.dtype), 0.0)
     np.exp(neg, out=neg)
     neg -= 1.0
     out = np.maximum(d, 0.0)
     out += neg
+    return out, neg
+
+
+def elu(x: Tensor) -> Tensor:
+    """exp(x) - 1 for x < 0, x otherwise; saturates to -1 below -exp_clip."""
+    out, neg = elu_parts(x.data)
 
     def grad(g):
         slope = neg + 1.0

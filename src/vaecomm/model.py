@@ -1,7 +1,8 @@
-"""Transceiver assembly: the stage chain from one-hot messages to logits.
+"""Transceiver assembly: the stage chain from messages to logits.
 
-The transmitter maps one-hot messages to a power-constrained latent signal;
-the receiver maps the channel output back to one score (logit) per message.
+The transmitter maps messages, as one-hot rows, to a power-constrained
+latent signal; the receiver maps the channel output back to one score
+(logit) per message.
 The chain is written once, as the TRANSMITTER and RECEIVER stage tuples:
 construction, forward passes, the stage records, mode switching, parameter
 naming and the checkpoint's batch-norm list all iterate them. Every
@@ -10,19 +11,21 @@ applied to any block length.
 
 Everything the system holds and computes is float32: parameters, batch-norm
 running statistics, activations, gradients, the codebook and the decoder.
-Inputs of another dtype are cast where they enter (``_check_onehot``,
-``decide``).
+Channel outputs of another dtype are cast where they enter (``decide``).
 
-``end_to_end`` is the one path that runs the whole chain: transmitter,
-channel, receiver and the loss, computed from the logits (the loss applies
-the softmax itself). It keeps every stage's output, so the transmitted
-signal is its ``power_norm`` entry and the logits its ``rx_conv2`` entry;
-training, validation and the tests' reference for the codebook path all read
-it. Evaluation runs the same tuples in pieces instead: ``codebook``
-precomputes each message's pre-normalization latent once, ``encode`` gathers
-from it and power-normalizes, and ``decide`` runs the receiver on blocks of
-``_DECIDE_ROWS`` positions and keeps only each position's argmax, so no
-full-chunk activation is allocated.
+``end_to_end`` is the one path that runs the whole chain on integer
+symbols: transmitter, channel, receiver and the loss, computed from the
+logits (the loss applies the softmax itself). It keeps every stage's output,
+so the transmitted signal is its ``power_norm`` entry and the logits its
+``rx_conv2`` entry; training, validation and the tests' reference for the
+codebook path all read it. The ``PER_SYMBOL`` stages before the
+transmitter's batch norm see each position's one-hot row alone, so
+``end_to_end`` runs them once per distinct symbol of the batch
+(``_per_symbol``). Evaluation runs the same tuples in pieces instead:
+``codebook`` precomputes each message's pre-normalization latent once,
+``encode`` gathers from it and power-normalizes, and ``decide`` runs the
+receiver on blocks of ``_DECIDE_ROWS`` positions and keeps only each
+position's argmax, so no full-chunk activation is allocated.
 """
 
 from __future__ import annotations
@@ -41,10 +44,11 @@ from .layers import (
     GaussianSampling,
     PowerNormalization,
     elu,
+    elu_parts,
 )
 from .losses import LossBreakdown, beta_vae_loss
 from .seeding import derive_seed
-from .tensor import SYSTEM_DTYPE, Tensor, no_grad
+from .tensor import SYSTEM_DTYPE, Tensor, from_op, no_grad
 
 VALID_LATENT_MULTIPLIERS = (2, 4)
 
@@ -157,6 +161,19 @@ RECEIVER = (
 )
 STAGES = TRANSMITTER + RECEIVER
 
+# Kernel-1 convolutions and ELUs of the one-hot input: each maps a position
+# by its symbol alone, in either mode.
+PER_SYMBOL = TRANSMITTER[:4]
+
+# The per-symbol table is padded, by repeating rows, to at least
+# _TABLE_MIN_ROWS rows and _TABLE_MIN_FLOATS floats (rows x hidden_filters).
+# A float32 (rows x H) @ (H x H) product gives rows bit-equal to the product
+# over a whole batch only when it is this large: on OpenBLAS's AVX-512 sgemm,
+# 4 rows at 256 filters and 37 rows at 32 filters still differ in the last
+# bits. A batch with no more positions than the padded table runs per position.
+_TABLE_MIN_ROWS = 8
+_TABLE_MIN_FLOATS = 2048
+
 # In eval mode every transmitter stage before the power norm maps each
 # position on its own (batch norm uses running stats, sampling returns mu),
 # so the codebook runs this prefix once per message.
@@ -180,10 +197,17 @@ _PARAMETER_FIELDS = ((Conv1D, ("weight", "bias")), (BatchNorm1D, ("gamma", "shif
 
 @dataclass
 class EndToEndResult:
+    """The loss of one ``end_to_end`` pass and every stage's output.
+
+    ``stages`` holds (stage name, output) for all 14 stages in chain order,
+    with the channel output between transmitter and receiver as "channel".
+    A ``PER_SYMBOL`` stage's entry is its output on the table of distinct
+    symbols, shape (rows, hidden_filters), not on every position (see
+    ``CommSystem._per_symbol``); the other entries are (batch, L, width).
+    """
+
     loss: Tensor
     breakdown: LossBreakdown
-    # (stage name, output) in chain order, with the channel output between
-    # transmitter and receiver as "channel"
     stages: list[tuple[str, np.ndarray]]
 
 
@@ -242,19 +266,67 @@ class CommSystem:
                 record.append((name, env[output].data))
         return env
 
-    def end_to_end(self, onehot, channel: ChannelModel) -> EndToEndResult:
-        """Forward through the channel and the loss, computed from the logits.
-        Every stage's output is kept in ``stages``; in training the graph
-        holds them until the result is released anyway."""
-        x = self._check_onehot(onehot)
+    def end_to_end(self, symbols, channel: ChannelModel) -> EndToEndResult:
+        """Integer symbols (batch, L) forward through the channel and the loss,
+        computed from the logits. A symbol outside [0, M), a non-integer dtype
+        or another rank raises DomainError. Every stage's output is kept in
+        ``stages``; in training the graph holds them until the result is
+        released anyway."""
+        symbols = self._check_symbols(symbols)
+        x = one_hot(symbols, self.config.M)  # the loss target and tx_conv1's weight gradient
         stages: list[tuple[str, np.ndarray]] = []
-        env = self._run(TRANSMITTER, {"x": x}, stages)
+        h = self._per_symbol(symbols, x, stages)
+        env = self._run(TRANSMITTER[len(PER_SYMBOL):], {"h": h}, stages)
         env["y"] = channel.apply(env["signal"])
         stages.append(("channel", env["y"].data))
         env = self._run(RECEIVER, env, stages)
         loss, breakdown = beta_vae_loss(env["h"], x, env["mu"], env["logvar"],
                                         self.config.beta)
         return EndToEndResult(loss=loss, breakdown=breakdown, stages=stages)
+
+    def _per_symbol(self, symbols: np.ndarray, x: Tensor, record: list) -> Tensor:
+        """The ``PER_SYMBOL`` stages on every position, as one graph node.
+
+        The forward runs once per row of a table of the batch's distinct
+        symbols (in increasing order, padded by repeating rows) and gathers
+        the rows back to positions; on the table, tx_conv1 is a row gather
+        of its weight. Each stage's table output goes to ``record``. The
+        backward replays the stages' per-position gradients: the ELU slopes
+        gathered from the table, tx_conv2's input and weight gradients over
+        all positions, and tx_conv1's weight gradient as a GEMM with the
+        one-hot rows ``x``. So the output and every gradient are bit-equal
+        to running the stages one by one (see ``_TABLE_MIN_FLOATS``).
+        """
+        conv1, conv2 = self.tx_conv1, self.tx_conv2
+        width = conv2.in_channels
+        flat = symbols.reshape(-1)
+        rows = max(_TABLE_MIN_ROWS, -(-_TABLE_MIN_FLOATS // width))
+        if flat.size <= rows:
+            table, inverse = flat, np.arange(flat.size)
+        else:
+            distinct, inverse = np.unique(flat, return_inverse=True)
+            table = np.resize(distinct, max(distinct.size, rows))
+        w1, w2 = conv1.weight.data[:, :, 0].T, conv2.weight.data[:, :, 0].T
+        h1 = w1[table]
+        h1 += conv1.bias.data
+        a1, neg1 = elu_parts(h1)
+        h2 = a1 @ w2
+        h2 += conv2.bias.data
+        a2, neg2 = elu_parts(h2)
+        record.extend(zip((s.name for s in PER_SYMBOL), (h1, a1, h2, a2)))
+
+        def grad(g):
+            g2 = (neg2 + 1.0)[inverse]
+            g2 *= g.reshape(g2.shape)
+            gx2 = g2 @ w2.T
+            gw2 = (a1[inverse].T @ g2).T[:, :, None]
+            g1 = (neg1 + 1.0)[inverse]
+            g1 *= gx2
+            gw1 = (x.data.reshape(inverse.size, -1).T @ g1).T[:, :, None]
+            return gw1, g1.sum(axis=0), gw2, g2.sum(axis=0)
+
+        return from_op(a2[inverse].reshape(symbols.shape + (width,)),
+                       (conv1.weight, conv1.bias, conv2.weight, conv2.bias), grad)
 
     # -- eval-mode codebook path --------------------------------------------------
 
@@ -277,12 +349,8 @@ class CommSystem:
     def encode(self, codebook: np.ndarray, symbols: np.ndarray) -> Tensor:
         """Integer symbols (batch, L) to the power-normalized signal: a gather
         from ``codebook()`` and the power norm, equal to the eval-mode transmitter.
-        A symbol outside [0, M) raises DomainError."""
-        lo, hi = symbols.min(initial=0), symbols.max(initial=0)
-        if lo < 0 or hi >= self.config.M:
-            bad = lo if lo < 0 else hi
-            raise DomainError(f"symbols must be in [0, {self.config.M}), got {bad}")
-        return self.power_norm(Tensor(codebook[symbols]))
+        Symbols that ``end_to_end`` refuses raise DomainError."""
+        return self.power_norm(Tensor(codebook[self._check_symbols(symbols)]))
 
     def decide(self, y: Tensor) -> np.ndarray:
         """Channel output (batch, L, latent_dim) to the decided symbols, int64 (batch, L).
@@ -303,7 +371,21 @@ class CommSystem:
                 decided[start:start + scores.shape[1]] = scores[0].argmax(axis=1)
         return decided.reshape(y.shape[:-1])
 
+    def _check_symbols(self, symbols) -> np.ndarray:
+        symbols = np.asarray(symbols)
+        if symbols.ndim != 2 or not np.issubdtype(symbols.dtype, np.integer):
+            raise DomainError(
+                f"expected integer symbols of shape (batch, L), got {symbols.dtype} {symbols.shape}"
+            )
+        lo, hi = symbols.min(initial=0), symbols.max(initial=0)
+        if lo < 0 or hi >= self.config.M:
+            bad = lo if lo < 0 else hi
+            raise DomainError(f"symbols must be in [0, {self.config.M}), got {bad}")
+        return symbols
+
     def _check_onehot(self, onehot) -> Tensor:
+        """One-hot rows (batch, L, M) as a float32 Tensor; the benchmark's
+        stage-by-stage trace enters the chain here."""
         x = Tensor(np.asarray(onehot.data if isinstance(onehot, Tensor) else onehot,
                               dtype=SYSTEM_DTYPE))
         if x.ndim != 3 or x.shape[2] != self.config.M:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import ChannelModel
-from .data import Dataset, one_hot
+from .data import Dataset
 from .errors import DomainError, TrainingDivergedError
 from .model import CommSystem, EndToEndResult
 from .optim import Adam
@@ -134,8 +134,7 @@ def train(system: CommSystem, dataset: Dataset, *, epochs: int, batch_size: int 
             idx = perm[start:start + batch_size]
             if idx.size < 2:
                 continue  # batch statistics need at least two items
-            x = one_hot(train_rows[idx], cfg.M)
-            result = system.end_to_end(x, channel)
+            result = system.end_to_end(train_rows[idx], channel)
             breakdown = result.breakdown
             if not np.isfinite(breakdown.total):
                 raise TrainingDivergedError(
@@ -144,7 +143,7 @@ def train(system: CommSystem, dataset: Dataset, *, epochs: int, batch_size: int 
                 )
             optimizer.zero_grad()
             result.loss.backward()
-            del result, x  # frees this step's graph before the next forward
+            del result  # frees this step's graph before the next forward
             norm = clip_global_norm(system.parameters(), CLIP_NORM)
             if not np.isfinite(norm):
                 raise TrainingDivergedError(
@@ -188,7 +187,7 @@ def _validation_loss(system: CommSystem, val_rows: np.ndarray, cfg, ebno_db: flo
     with no_grad():
         for start in range(0, val_rows.shape[0], batch_size):
             chunk = val_rows[start:start + batch_size]
-            result = system.end_to_end(one_hot(chunk, cfg.M), channel)
+            result = system.end_to_end(chunk, channel)
             total += result.breakdown.total * chunk.shape[0]
     return total / val_rows.shape[0]
 

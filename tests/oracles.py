@@ -34,7 +34,7 @@ def monte_carlo_expectation(f, mu: np.ndarray, logvar: np.ndarray,
     return est.item() if np.ndim(est) == 0 or est.size == 1 else est
 
 
-def chain_stages(system, onehot, channel: ChannelModel | None = None) -> dict:
+def chain_stages(system, symbols, channel: ChannelModel | None = None) -> dict:
     """Every stage output of ``system.end_to_end``, by stage name, computed
     without a graph: the signal is ``"power_norm"``, the channel output
     ``"channel"`` and the logits ``"rx_conv2"``. Without ``channel`` the
@@ -42,4 +42,4 @@ def chain_stages(system, onehot, channel: ChannelModel | None = None) -> dict:
     if channel is None:
         channel = ChannelModel("awgn", math.inf, system.config.code_rate)
     with no_grad():
-        return dict(system.end_to_end(onehot, channel).stages)
+        return dict(system.end_to_end(symbols, channel).stages)

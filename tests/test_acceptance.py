@@ -17,7 +17,7 @@ from vaecomm.channels import ChannelModel, noise_variance
 from vaecomm.checkpoint import load_checkpoint, save_checkpoint
 from vaecomm.cli import main
 from vaecomm.curves import wilson_interval
-from vaecomm.data import generate_dataset, one_hot
+from vaecomm.data import generate_dataset
 from vaecomm.evaluation import block_length_transfer, evaluate_bler
 from vaecomm.gradcheck import run_all
 from vaecomm.losses import kl_standard_normal
@@ -50,7 +50,7 @@ def mean_test_loss(system, rows, ebno_db, chan_seed):
     with no_grad():
         for start in range(0, rows.shape[0], 256):
             chunk = rows[start:start + 256]
-            result = system.end_to_end(one_hot(chunk, cfg.M), channel)
+            result = system.end_to_end(chunk, channel)
             total += result.breakdown.total * chunk.shape[0]
     return total / rows.shape[0]
 
@@ -268,8 +268,8 @@ def test_acceptance_7_block_length_generalization(trained_awgn):
     try:
         signals = {}
         for length in (10, 50, 100):  # noise-free channel: read the transmitted signal
-            onehot = one_hot(symbols.reshape(-1, length), 16)
-            signals[length] = chain_stages(system, onehot)["power_norm"].reshape(600, -1)
+            blocks = symbols.reshape(-1, length)
+            signals[length] = chain_stages(system, blocks)["power_norm"].reshape(600, -1)
         bitwise = (np.array_equal(signals[10], signals[50])
                    and np.array_equal(signals[50], signals[100]))
     finally:

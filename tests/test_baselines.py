@@ -174,9 +174,18 @@ def test_demodulate_matches_the_distance_search_at_thresholds_and_extremes(name)
     np.testing.assert_array_equal(got, index_bits(c, distance_search(c, grid)))
     # 1e300's squared distances overflow to inf on both paths, which tie at index 0
     huge = pairs(np.concatenate([[1e300, -1e300], edges]))
+    with np.errstate(over="raise"):
+        got = demodulate_hard(c, huge)
     with np.errstate(over="ignore"):
-        np.testing.assert_array_equal(demodulate_hard(c, huge),
-                                      index_bits(c, distance_search(c, huge)))
+        expected = index_bits(c, distance_search(c, huge))
+    np.testing.assert_array_equal(got, expected)
+
+
+def test_a_symbol_whose_distances_overflow_decides_without_a_warning():
+    # under the suite's error::RuntimeWarning filter a warning would fail this
+    c = Constellation.qpsk()
+    np.testing.assert_array_equal(demodulate_hard(c, np.array([-1e300 + 0j])),
+                                  index_bits(c, np.array([0])))
 
 
 @pytest.mark.parametrize("levels, reason", [

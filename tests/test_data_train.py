@@ -315,7 +315,7 @@ def test_clip_global_norm_keeps_every_bit_of_a_system_gradient_norm(k, n, channe
     system = CommSystem(cfg)
     system.train_mode()
     rows = generate_dataset(k, 10, num_messages=64, seed=6, num_test=1).train
-    result = system.end_to_end(one_hot(rows, cfg.M), ChannelModel(channel, 6.0, cfg.code_rate))
+    result = system.end_to_end(rows, ChannelModel(channel, 6.0, cfg.code_rate))
     result.loss.backward()
     params = system.parameters()
     grads = [p.grad for p in params]  # clip_global_norm replaces them, leaving these
@@ -558,20 +558,18 @@ def _one_step(cfg, seed=0, batch=16):
     channel = ChannelModel(cfg.channel_kind, 6.0, cfg.code_rate, rng_seed=seed)
     optimizer = Adam(system.parameters())
     rows = np.random.default_rng(seed).integers(0, cfg.M, size=(batch, cfg.block_length))
-    x = one_hot(rows, cfg.M)
-    result = system.end_to_end(x, channel)
+    result = system.end_to_end(rows, channel)
     optimizer.zero_grad()
     result.loss.backward()
     clip_global_norm(system.parameters(), 5.0)
     optimizer.step()
-    return system, optimizer, x, result
+    return system, optimizer, result
 
 
 @pytest.mark.parametrize("k, n, kind", [(4, 2, "awgn"), (8, 4, "rayleigh")])
 def test_a_train_step_and_a_sweep_stay_float32(k, n, kind, monkeypatch):
     cfg = SystemConfig(k=k, n=n, hidden_filters=32, block_length=6, channel_kind=kind, seed=3)
-    system, optimizer, x, result = _one_step(cfg)
-    assert x.dtype == np.float32
+    system, optimizer, result = _one_step(cfg)
     assert result.loss.dtype == np.float32
     arrays = [(f"stage {name}", out) for name, out in result.stages]
     for name, p in system.named_parameters():
@@ -610,7 +608,7 @@ def test_a_train_step_and_a_sweep_stay_float32(k, n, kind, monkeypatch):
 
 def test_backward_leaves_no_gradient_on_intermediates():
     cfg = SystemConfig(k=8, n=4, block_length=10, seed=5)
-    system, _, _, result = _one_step(cfg, batch=64)
+    system, _, result = _one_step(cfg, batch=64)
     nodes = _reverse_order(result.loss)
     assert len(nodes) > 30
     for node in nodes:

@@ -113,7 +113,7 @@ def test_codebook_path_matches_transmit_and_receive(k, n, m, kind, length, rows,
     ebno_db, n_blocks = 2.0, 9
 
     symbols, channel = chunk_streams(cfg, ebno_db, length, n_blocks, seed)
-    stages = chain_stages(system, one_hot(symbols, cfg.M), channel)
+    stages = chain_stages(system, symbols, channel)
     reference, decided = stages["power_norm"], stages["rx_conv2"].argmax(axis=2)
     with no_grad():
         signal = system.encode(codebook, symbols)
@@ -166,7 +166,7 @@ def test_decide_over_several_row_blocks_matches_the_reference(k, n):
     cfg = SystemConfig(k=k, n=n, block_length=length, seed=5)
     system = CommSystem(cfg).eval_mode()
     symbols, channel = chunk_streams(cfg, 0.0, length, n_blocks, 5)
-    stages = chain_stages(system, one_hot(symbols, cfg.M), channel)
+    stages = chain_stages(system, symbols, channel)
     reference = stages["rx_conv2"].argmax(axis=2)
     decided = system.decide(Tensor(stages["channel"]))
     assert decided.dtype == np.int64 and decided.shape == (n_blocks, length)

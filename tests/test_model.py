@@ -13,9 +13,18 @@ from oracles import chain_stages
 from vaecomm import CheckpointError, ConfigError, DomainError
 from vaecomm.channels import ChannelModel
 from vaecomm.checkpoint import load_checkpoint, save_checkpoint
-from vaecomm.data import generate_dataset
+from vaecomm.data import generate_dataset, one_hot
 from vaecomm.layers import BatchNorm1D
-from vaecomm.model import RECEIVER, STAGES, TRANSMITTER, CommSystem, EndToEndResult, SystemConfig
+from vaecomm.model import (
+    PER_SYMBOL,
+    RECEIVER,
+    STAGES,
+    TRANSMITTER,
+    CommSystem,
+    EndToEndResult,
+    SystemConfig,
+)
+from vaecomm.tensor import Tensor
 from vaecomm.training import train
 
 
@@ -34,11 +43,8 @@ def desk_config(**overrides):
     return SystemConfig(**base)
 
 
-def onehot_batch(config, rng, batch=8):
-    sym = rng.integers(0, config.M, size=(batch, config.block_length))
-    x = np.zeros((batch, config.block_length, config.M))
-    np.put_along_axis(x, sym[..., None], 1.0, axis=2)
-    return x
+def symbol_batch(config, rng, batch=8):
+    return rng.integers(0, config.M, size=(batch, config.block_length))
 
 
 # -- config --------------------------------------------------------------------
@@ -141,7 +147,7 @@ def test_parameter_count_default_width():
 def test_transmit_shapes_and_power():
     cfg = desk_config()
     sys_ = CommSystem(cfg).eval_mode()
-    stages = chain_stages(sys_, onehot_batch(cfg, np.random.default_rng(0)))
+    stages = chain_stages(sys_, symbol_batch(cfg, np.random.default_rng(0)))
     for name in ("mu_head", "logvar_head", "power_norm", "channel"):
         assert stages[name].shape == (8, 10, 4), name
     assert stages["rx_conv2"].shape == (8, 10, 16)
@@ -151,28 +157,37 @@ def test_transmit_shapes_and_power():
 def test_transmit_power_constraint_in_train_mode():
     cfg = desk_config()
     sys_ = CommSystem(cfg).train_mode()
-    signal = chain_stages(sys_, onehot_batch(cfg, np.random.default_rng(1)))["power_norm"]
+    signal = chain_stages(sys_, symbol_batch(cfg, np.random.default_rng(1)))["power_norm"]
     assert_close_f32((signal.astype(np.float64)**2).mean(axis=(1, 2)), 1.0)
 
 
-def test_end_to_end_rejects_non_onehot():
+@pytest.mark.parametrize("bad", [-1, 16])
+def test_end_to_end_rejects_a_symbol_outside_the_alphabet(bad):
     cfg = desk_config()
-    sys_ = CommSystem(cfg)
+    symbols = symbol_batch(cfg, np.random.default_rng(2))
+    symbols[1, 3] = bad
     ch = ChannelModel("awgn", 6.0, cfg.code_rate, rng_seed=2)
-    bad = onehot_batch(cfg, np.random.default_rng(2))
-    bad[0, 0, :] = 0.5
-    with pytest.raises(DomainError):
-        sys_.end_to_end(bad, ch)
-    with pytest.raises(DomainError):
-        sys_.end_to_end(np.zeros((2, 10, 16)), ch)
-    with pytest.raises(DomainError):
-        sys_.end_to_end(np.zeros((2, 10, 7)), ch)
+    with pytest.raises(DomainError, match=rf"\[0, 16\), got {bad}"):
+        CommSystem(cfg).end_to_end(symbols, ch)
+
+
+@pytest.mark.parametrize("symbols", [
+    np.zeros((2, 10)),  # float
+    np.zeros((2, 10), dtype=bool),
+    np.zeros((2, 10, 16), dtype=np.int64),  # a one-hot-shaped array
+    np.zeros(10, dtype=np.int64),
+], ids=["float", "bool", "rank-3", "rank-1"])
+def test_end_to_end_rejects_symbols_that_are_not_an_integer_matrix(symbols):
+    cfg = desk_config()
+    ch = ChannelModel("awgn", 6.0, cfg.code_rate, rng_seed=2)
+    with pytest.raises(DomainError, match=r"integer symbols of shape \(batch, L\)"):
+        CommSystem(cfg).end_to_end(symbols, ch)
 
 
 def test_eval_transmit_is_deterministic():
     cfg = desk_config()
     sys_ = CommSystem(cfg).eval_mode()
-    x = onehot_batch(cfg, np.random.default_rng(4))
+    x = symbol_batch(cfg, np.random.default_rng(4))
     np.testing.assert_array_equal(chain_stages(sys_, x)["power_norm"],
                                   chain_stages(sys_, x)["power_norm"])
 
@@ -184,7 +199,7 @@ def test_end_to_end_returns_finite_loss_and_gradients_reach_first_layer():
     cfg = desk_config()
     sys_ = CommSystem(cfg).train_mode()
     ch = ChannelModel(cfg.channel_kind, 6.0, cfg.code_rate, rng_seed=1)
-    res = sys_.end_to_end(onehot_batch(cfg, np.random.default_rng(5)), ch)
+    res = sys_.end_to_end(symbol_batch(cfg, np.random.default_rng(5)), ch)
     assert isinstance(res, EndToEndResult)
     assert math.isfinite(res.loss.item())
     res.loss.backward()
@@ -196,16 +211,16 @@ def test_end_to_end_returns_finite_loss_and_gradients_reach_first_layer():
 
 def test_end_to_end_checks_its_input_once(monkeypatch):
     cfg = desk_config()
-    check = CommSystem._check_onehot
+    check = CommSystem._check_symbols
     calls = []
 
-    def counting_check(self, onehot):
-        calls.append(onehot)
-        return check(self, onehot)
+    def counting_check(self, symbols):
+        calls.append(symbols)
+        return check(self, symbols)
 
-    monkeypatch.setattr(CommSystem, "_check_onehot", counting_check)
+    monkeypatch.setattr(CommSystem, "_check_symbols", counting_check)
     ch = ChannelModel("awgn", 6.0, cfg.code_rate, rng_seed=2)
-    CommSystem(cfg).end_to_end(onehot_batch(cfg, np.random.default_rng(6)), ch)
+    CommSystem(cfg).end_to_end(symbol_batch(cfg, np.random.default_rng(6)), ch)
     assert len(calls) == 1
 
 
@@ -213,7 +228,7 @@ def test_end_to_end_breakdown_consistent():
     cfg = desk_config()
     sys_ = CommSystem(cfg).train_mode()
     ch = ChannelModel("awgn", 6.0, cfg.code_rate, rng_seed=2)
-    res = sys_.end_to_end(onehot_batch(cfg, np.random.default_rng(6)), ch)
+    res = sys_.end_to_end(symbol_batch(cfg, np.random.default_rng(6)), ch)
     bd = res.breakdown
     assert_close_f32(bd.total, bd.beta * bd.kl_term + bd.reconstruction_term)
     assert bd.kl_term >= 0.0
@@ -229,7 +244,7 @@ def test_end_to_end_shapes_and_gradients_over_configs(k, n, m, filters, kind, le
                        channel_kind=kind, block_length=length, seed=seed)
     sys_ = CommSystem(cfg).train_mode()
     ch = ChannelModel(kind, 6.0, cfg.code_rate, rng_seed=seed)
-    res = sys_.end_to_end(onehot_batch(cfg, np.random.default_rng(seed), batch), ch)
+    res = sys_.end_to_end(symbol_batch(cfg, np.random.default_rng(seed), batch), ch)
     res.loss.backward()
     for name, p in sys_.named_parameters():
         assert p.grad is not None, name
@@ -240,11 +255,54 @@ def test_end_to_end_shapes_and_gradients_over_configs(k, n, m, filters, kind, le
     assert_close_f32((signal.astype(np.float64) ** 2).mean(axis=(1, 2)), 1.0)
 
 
+def _per_symbol_run(system, symbols, g, table):
+    """The PER_SYMBOL stages' output and the gradients of their four
+    parameters for the output gradient ``g``: as end_to_end's table node, or
+    as the per-stage layer chain on every position."""
+    x = one_hot(symbols, system.config.M)
+    if table:
+        out = system._per_symbol(symbols, x, [])
+    else:
+        out = system._run(PER_SYMBOL, {"x": x})["h"]
+    for p in system.parameters():
+        p.grad = None
+    (out * Tensor(g)).sum().backward()
+    conv1, conv2 = system.tx_conv1, system.tx_conv2
+    return [out.data] + [p.grad for p in (conv1.weight, conv1.bias, conv2.weight, conv2.bias)]
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+@pytest.mark.parametrize("k, batch, one_symbol", [
+    (2, (64, 10), False),
+    (4, (64, 10), False),
+    (8, (64, 10), False),
+    (4, (64, 10), True),  # one table row, padded by repeating it
+    (4, (2, 3), False),  # fewer positions than a padded table: run per position
+], ids=["k2", "k4", "k8", "one-symbol", "six-positions"])
+@pytest.mark.parametrize("filters", [32, 256])
+def test_the_per_symbol_table_is_bit_equal_to_the_stage_chain(filters, k, batch, one_symbol,
+                                                              mode):
+    cfg = SystemConfig(k=k, n=2, hidden_filters=filters, block_length=batch[1], seed=k)
+    system = getattr(CommSystem(cfg), f"{mode}_mode")()
+    rng = np.random.default_rng(k)
+    for conv in (system.tx_conv1, system.tx_conv2):  # biases away from their initial zeros
+        conv.bias.data[:] = rng.normal(scale=0.1, size=filters)
+    symbols = np.full(batch, 5) if one_symbol else rng.integers(0, cfg.M, size=batch)
+    g = rng.normal(size=batch + (filters,)).astype(np.float32)
+    table = _per_symbol_run(system, symbols, g, table=True)
+    chain = _per_symbol_run(system, symbols, g, table=False)
+    for name, a, b in zip(("output", "tx_conv1.weight", "tx_conv1.bias", "tx_conv2.weight",
+                           "tx_conv2.bias"), table, chain):
+        # the layout too: clip_global_norm sums each gradient in memory order
+        assert (a.dtype, a.shape, a.strides) == (b.dtype, b.shape, b.strides), name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+
+
 def test_trace_names_every_stage():
     cfg = desk_config()
     sys_ = CommSystem(cfg)
     ch = ChannelModel("awgn", 6.0, cfg.code_rate, rng_seed=3)
-    x = onehot_batch(cfg, np.random.default_rng(7))
+    x = symbol_batch(cfg, np.random.default_rng(7))
     for mode in (sys_.train_mode, sys_.eval_mode):
         steps = mode().end_to_end(x, ch).stages
         names = [n for n, _ in steps]
@@ -270,10 +328,7 @@ def test_kernel1_system_is_block_length_equivariant():
 
     outputs = {}
     for L in (10, 50, 100):
-        grouped = symbols.reshape(-1, L)
-        x = np.zeros((grouped.shape[0], L, cfg.M))
-        np.put_along_axis(x, grouped[..., None], 1.0, axis=2)
-        outputs[L] = chain_stages(sys_, x)["power_norm"].reshape(600, cfg.latent_dim)
+        outputs[L] = chain_stages(sys_, symbols.reshape(-1, L))["power_norm"].reshape(600, cfg.latent_dim)
 
     np.testing.assert_array_equal(outputs[10], outputs[50])
     np.testing.assert_array_equal(outputs[10], outputs[100])
@@ -283,9 +338,8 @@ def test_identical_symbols_map_to_identical_signals_per_position():
     cfg = desk_config()
     sys_ = CommSystem(cfg).eval_mode()
     sys_.power_norm.per_position = True
-    x = np.zeros((1, 6, cfg.M))
-    x[:, :, 3] = 1.0  # same symbol at every position
-    signal = chain_stages(sys_, x)["power_norm"]
+    symbols = np.full((1, 6), 3)  # same symbol at every position
+    signal = chain_stages(sys_, symbols)["power_norm"]
     for pos in range(6):
         np.testing.assert_array_equal(signal[0, pos], signal[0, 0])
 
@@ -341,7 +395,7 @@ def trained_step_system(seed):
     cfg = desk_config(seed=seed)
     sys_ = CommSystem(cfg).train_mode()
     ch = ChannelModel("awgn", 6.0, cfg.code_rate, rng_seed=4)
-    sys_.end_to_end(onehot_batch(cfg, np.random.default_rng(9)), ch)
+    sys_.end_to_end(symbol_batch(cfg, np.random.default_rng(9)), ch)
     return sys_
 
 
@@ -422,7 +476,7 @@ def test_checkpoint_loaded_system_predicts_identically(tmp_path):
     path = tmp_path / "m.json"
     save_checkpoint(sys_, str(path))
     loaded = load_checkpoint(str(path)).eval_mode()
-    x = onehot_batch(cfg, np.random.default_rng(10))
+    x = symbol_batch(cfg, np.random.default_rng(10))
     a, b = chain_stages(sys_, x), chain_stages(loaded, x)
     np.testing.assert_array_equal(a["power_norm"], b["power_norm"])
     np.testing.assert_array_equal(a["rx_conv2"], b["rx_conv2"])
