@@ -80,6 +80,7 @@ def test_dataset_rejects_bad_arguments():
 
 def test_one_hot_single_symbol():
     out = one_hot(np.array([[3]]), M=4)
+    assert out.dtype == np.float32
     np.testing.assert_array_equal(out.data, [[[0.0, 0.0, 0.0, 1.0]]])
 
 

@@ -172,7 +172,7 @@ def test_end_to_end_rejects_a_symbol_outside_the_alphabet(bad):
 
 
 @pytest.mark.parametrize("symbols", [
-    np.zeros((2, 10)),  # float
+    np.zeros((2, 10)),
     np.zeros((2, 10), dtype=bool),
     np.zeros((2, 10, 16), dtype=np.int64),  # a one-hot-shaped array
     np.zeros(10, dtype=np.int64),
