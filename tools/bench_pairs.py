@@ -24,14 +24,13 @@ import sys
 from pathlib import Path
 
 import bench_record
-from bench_record import pair_order
 
 
 def run_pairs(checkouts: dict[str, Path], workloads: list[str], seeds: list[int],
               seconds: float) -> None:
     for workload in workloads:
         for i, seed in enumerate(seeds):
-            for side in pair_order(i):
+            for side in bench_record.pair_order(i):
                 cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
                        "--seed", str(seed), "--seconds", f"{seconds:g}", "--trace", "0"]
                 print(f"pair {i + 1}/{len(seeds)} {workload} seed {seed}: {side}", flush=True)
