@@ -57,14 +57,23 @@ class Conv1D:
         w, b = self.weight, self.bias
 
         def grad(g):
-            g2d = g.reshape(batch * length, self.out_channels)
             # a constant input (the one-hot messages) needs no gradient
-            gx = (g2d @ w2d.T).reshape(x.shape) if x.requires_grad else None
-            gw = (xd.T @ g2d).T[:, :, None]  # back to (out, in, 1)
-            gb = g2d.sum(axis=0)
-            return gx, gw, gb
+            gx, gw, gb = conv1d_grads(xd, g.reshape(batch * length, self.out_channels),
+                                      w2d, x.requires_grad)
+            return (None if gx is None else gx.reshape(x.shape)), gw, gb
 
         return from_op(out, (x, w, b), grad)
+
+
+def conv1d_grads(xd: np.ndarray, g2d: np.ndarray, w2d: np.ndarray,
+                 need_gx: bool = True) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """Gradients of a kernel-1 convolution ``xd @ w2d + bias`` on (rows, channels)
+    views: the input's (rows, in), or None without ``need_gx``; the weight's in
+    the (out, in, 1) layout; the bias's. :class:`Conv1D` and the transmitter's
+    per-symbol node both use it, so their gradients are the same arithmetic."""
+    gx = g2d @ w2d.T if need_gx else None
+    gw = (xd.T @ g2d).T[:, :, None]
+    return gx, gw, g2d.sum(axis=0)
 
 
 class BatchNorm1D:
@@ -212,14 +221,21 @@ def elu_parts(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out, neg
 
 
+def elu_slope(neg: np.ndarray, g: np.ndarray, rows=slice(None)) -> np.ndarray:
+    """The ELU's input gradient: ``g`` times the slope ``neg + 1`` (``neg`` from
+    :func:`elu_parts`), whose ``rows`` are taken first, so a table of outputs
+    gathered back to positions gets each position's slope."""
+    slope = (neg + 1.0)[rows]
+    slope *= g
+    return slope
+
+
 def elu(x: Tensor) -> Tensor:
     """exp(x) - 1 for x < 0, x otherwise; saturates to -1 below -exp_clip."""
     out, neg = elu_parts(x.data)
 
     def grad(g):
-        slope = neg + 1.0
-        slope *= g
-        return (slope,)
+        return (elu_slope(neg, g),)
 
     return from_op(out, (x,), grad)
 

@@ -43,8 +43,10 @@ from .layers import (
     Conv1D,
     GaussianSampling,
     PowerNormalization,
+    conv1d_grads,
     elu,
     elu_parts,
+    elu_slope,
 )
 from .losses import LossBreakdown, beta_vae_loss
 from .seeding import derive_seed
@@ -316,14 +318,11 @@ class CommSystem:
         record.extend(zip((s.name for s in PER_SYMBOL), (h1, a1, h2, a2)))
 
         def grad(g):
-            g2 = (neg2 + 1.0)[inverse]
-            g2 *= g.reshape(g2.shape)
-            gx2 = g2 @ w2.T
-            gw2 = (a1[inverse].T @ g2).T[:, :, None]
-            g1 = (neg1 + 1.0)[inverse]
-            g1 *= gx2
-            gw1 = (x.data.reshape(inverse.size, -1).T @ g1).T[:, :, None]
-            return gw1, g1.sum(axis=0), gw2, g2.sum(axis=0)
+            g2 = elu_slope(neg2, g.reshape(inverse.size, width), inverse)
+            gx2, gw2, gb2 = conv1d_grads(a1[inverse], g2, w2)
+            g1 = elu_slope(neg1, gx2, inverse)
+            _, gw1, gb1 = conv1d_grads(x.data.reshape(inverse.size, -1), g1, w1, False)
+            return gw1, gb1, gw2, gb2
 
         return from_op(a2[inverse].reshape(symbols.shape + (width,)),
                        (conv1.weight, conv1.bias, conv2.weight, conv2.bias), grad)

@@ -8,6 +8,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "bench_pairs.py"
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
 SEEDS = [701, 702, 703, 704]
 
 # A stand-in for perfbench/run.py: it appends "side workload seed" to the shared
@@ -46,21 +47,21 @@ def checkouts(tmp_path):
         (root / "BENCHMARK.json").write_text(json.dumps(BENCHMARK))
 
 
-def run_tool(tmp_path, *extra):
+def run_tool(tmp_path):
     return subprocess.run(
         [sys.executable, str(TOOL), str(tmp_path / "parent"), str(tmp_path / "change"),
          "aaa111", "bbb222", "--seeds", *map(str, SEEDS),
-         "--out", str(tmp_path / "BENCH_test.json"), *extra],
+         "--out", str(tmp_path / "BENCH_test.json")],
         capture_output=True, text=True, timeout=120)
 
 
 def test_pairs_alternate_the_first_side_and_the_record_says_so(tmp_path):
     checkouts(tmp_path)
-    proc = run_tool(tmp_path, "--workloads", "train_k8", "train_k4")
+    proc = run_tool(tmp_path)
     assert proc.returncode == 0, proc.stderr
     ran = (tmp_path / "order.log").read_text().split("\n")[:-1]
     expected = []
-    for workload in ("train_k8", "train_k4"):
+    for workload in WORKLOADS:
         for i, seed in enumerate(SEEDS):
             sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             expected += [f"{side} {workload} {seed}" for side in sides]
@@ -69,7 +70,7 @@ def test_pairs_alternate_the_first_side_and_the_record_says_so(tmp_path):
     assert record["first_side"] == ["parent", "change", "parent", "change"]
     assert (record["parent_commit"], record["change_commit"]) == ("aaa111", "bbb222")
     assert record["run_seconds"] == BENCHMARK["run_seconds"]
-    assert sorted(record["workloads"]) == ["train_k4", "train_k8"]
+    assert sorted(record["workloads"]) == sorted(WORKLOADS)
     row = record["workloads"]["train_k4"]["metrics"]["train_symbols_per_s"]
     assert row["parent"]["runs"] == SEEDS
     assert row["change"]["runs"] == [s + 1 for s in SEEDS]
@@ -79,11 +80,12 @@ def test_pairs_alternate_the_first_side_and_the_record_says_so(tmp_path):
 def test_a_failed_run_stops_the_pairs_and_writes_no_record(tmp_path):
     checkouts(tmp_path)
     (tmp_path / "change" / "FAIL").write_text(str(SEEDS[1]))
-    proc = run_tool(tmp_path, "--workloads", "eval_sweep")
+    proc = run_tool(tmp_path)
     assert proc.returncode != 0
     assert str(tmp_path / "change") in proc.stderr and "exit 3" in proc.stderr
     # pair 2 runs the change first, so the run after its failure never starts
+    first = WORKLOADS[0]
     assert (tmp_path / "order.log").read_text().split("\n")[:-1] == [
-        f"parent eval_sweep {SEEDS[0]}", f"change eval_sweep {SEEDS[0]}",
-        f"change eval_sweep {SEEDS[1]}"]
+        f"parent {first} {SEEDS[0]}", f"change {first} {SEEDS[0]}",
+        f"change {first} {SEEDS[1]}"]
     assert not (tmp_path / "BENCH_test.json").exists()

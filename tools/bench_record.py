@@ -5,12 +5,11 @@ once per workload and seed, and left its files in its own
 ``perfbench/out/``. Pair i ran the parent first when i is even (0-based).
 
     python3 tools/bench_record.py PARENT_OUT CHANGE_OUT PARENT_SHA CHANGE_SHA \\
-        --seeds 15001 15002 ... [--workloads train_k4 ...] --out BENCH_<topic>.json
+        --seeds 15001 15002 ... --out BENCH_<topic>.json
 
 ``tools/bench_pairs.py`` runs the pairs in that order and then calls this.
-For every workload (all of BENCHMARK.json's, or those given) and every
-end-to-end metric in BENCHMARK.json, the record holds both sides' per-run
-values in seed order, their median and quartiles
+For every workload and end-to-end metric in BENCHMARK.json, the record holds
+both sides' per-run values in seed order, their median and quartiles
 (``statistics.quantiles(..., n=4, method="inclusive")``), and the metric's unit,
 direction and bound. Pairs are compared run by run: ``pairs_won`` counts the
 pairs each side won in the metric's better direction (a tie counts for
@@ -100,10 +99,10 @@ def paired(parent: list[float], change: list[float], better: str) -> dict:
 
 
 def build_record(out_dirs: dict[str, Path], commits: dict[str, str], seeds: list[int],
-                 benchmark: dict, names: list[str] | None = None) -> dict:
+                 benchmark: dict) -> dict:
     workloads = {}
     run_seconds = set()
-    for workload in sorted(names or (w["name"] for w in benchmark["workloads"])):
+    for workload in sorted(w["name"] for w in benchmark["workloads"]):
         results = {side: load_runs(d, workload, seeds) for side, d in out_dirs.items()}
         run_seconds |= {r["environment"]["seconds"] for runs in results.values() for r in runs}
         metrics = {}
@@ -134,7 +133,6 @@ def build_record(out_dirs: dict[str, Path], commits: dict[str, str], seeds: list
 
 
 def main(argv=None) -> int:
-    benchmark = json.loads(BENCHMARK.read_text())
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_out", type=Path, help="the parent's perfbench/out directory")
     parser.add_argument("change_out", type=Path, help="the change's perfbench/out directory")
@@ -142,16 +140,13 @@ def main(argv=None) -> int:
     parser.add_argument("change_sha", help="the measured change commit id")
     parser.add_argument("--seeds", type=int, nargs="+", required=True,
                         help="the workload seeds, one per pair, in run order")
-    parser.add_argument("--workloads", nargs="+",
-                        choices=[w["name"] for w in benchmark["workloads"]],
-                        help="the workloads to record (default: all)")
     parser.add_argument("--out", type=Path, required=True, help="the record to write")
     args = parser.parse_args(argv)
     if len(args.seeds) < 2:
         parser.error("quartiles need at least two seeds")
     record = build_record({"parent": args.parent_out, "change": args.change_out},
                           {"parent": args.parent_sha, "change": args.change_sha},
-                          args.seeds, benchmark, args.workloads)
+                          args.seeds, json.loads(BENCHMARK.read_text()))
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {args.out} ({len(args.seeds)} pairs, {len(record['workloads'])} workloads)")
     return 0
