@@ -303,10 +303,10 @@ def _per_symbol_run(system, symbols, g, table):
 @pytest.mark.parametrize("filters", [32, 256])
 def test_the_per_symbol_table_is_bit_equal_to_the_stage_chain(filters, k, batch, one_symbol,
                                                               mode):
-    """Bit-equal on OpenBLAS's AVX-512 sgemm, the kernel the benchmark host
-    selects. Under ``OPENBLAS_CORETYPE=Haswell`` a float32 product's rows
-    depend on its row count at every table size tried, so there the table
-    changes the last bits: 16 of these 20 cases fail there (README, "System model")."""
+    """Bit-equal on OpenBLAS's AVX-512 sgemm, the kernel it picks on an
+    AVX-512 CPU. Under ``OPENBLAS_CORETYPE=Haswell`` a float32 product's rows
+    depend on its row count at every table size tried, so the table changes
+    the last bits and 16 of these 20 cases fail (README, "System model")."""
     cfg = SystemConfig(k=k, n=2, hidden_filters=filters, block_length=batch[1], seed=k)
     system = getattr(CommSystem(cfg), f"{mode}_mode")()
     rng = np.random.default_rng(k)
