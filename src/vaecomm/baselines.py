@@ -43,6 +43,7 @@ import numpy as np
 from .channels import CHANNEL_KINDS, noise_variance
 from .curves import wilson_interval
 from .errors import ConfigError, DomainError, ShapeMismatchError
+from .evaluation import check_integer, count_chunks
 
 log = logging.getLogger(__name__)
 
@@ -284,18 +285,14 @@ def baseline_bler(c: Constellation, ebno_db: float, k: int, L: int, n_blocks: in
     L message symbols errs; a message symbol errs when any of its k bits does.
     The noise is scaled by the constellation's mean symbol energy, so Eb/N0
     is the energy per bit actually sent over N0 for a ladder of any scale.
-    k, L, n_blocks and chunk_blocks must be Python or numpy integers, not
-    bool, or DomainError is raised.
+    k, L, n_blocks and chunk_blocks must be Python or numpy integers >= 1,
+    and seed one >= 0, none of them bool, or DomainError is raised. The chunks
+    run in order and draw from one generator seeded with seed.
     """
-    sizes = {"k": k, "L": L, "n_blocks": n_blocks, "chunk_blocks": chunk_blocks}
-    for name, value in sizes.items():
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise DomainError(f"{name} must be an integer, got {value!r}")
-    k, L, n_blocks, chunk_blocks = (int(v) for v in sizes.values())
-    if k < 1 or L < 1 or n_blocks < 1:
-        raise DomainError(f"k, L, n_blocks must be positive, got {k}, {L}, {n_blocks}")
-    if chunk_blocks < 1:
-        raise DomainError(f"chunk_blocks must be >= 1, got {chunk_blocks}")
+    k, L = check_integer("k", k), check_integer("L", L)
+    n_blocks = check_integer("n_blocks", n_blocks)
+    chunk_blocks = check_integer("chunk_blocks", chunk_blocks)
+    seed = check_integer("seed", seed, least=0)
     if (k * L) % c.bits_per_symbol != 0:
         raise ConfigError(f"block of {k * L} bits does not fill whole {c.name} symbols")
     if channel not in CHANNEL_KINDS:
@@ -307,16 +304,11 @@ def baseline_bler(c: Constellation, ebno_db: float, k: int, L: int, n_blocks: in
     bits_per_block = k * L
     uses_per_message, ragged = divmod(k, c.bits_per_symbol)
     popcount = np.array([bin(i).count("1") for i in range(c.points.size)])
-    block_errors = 0
-    symbol_errors = 0
-    bit_errors = 0
 
-    done = 0
-    while done < n_blocks:
-        nb = min(chunk_blocks, n_blocks - done)
+    def count(chunk_idx: int, nb: int) -> tuple[int, int, int]:
+        """(block, symbol, bit) errors of the next nb blocks."""
         sent = _point_index(c, rng.integers(0, 2, size=nb * bits_per_block))
         wrong = sent ^ _decide(c, *_received(c, sent, sigma, channel, rng))  # wrong bits
-        bit_errors += int(popcount[wrong].sum())
         if ragged:  # a message symbol straddles constellation symbols
             sym_wrong = _index_bits(c, wrong).reshape(nb, L, k).any(axis=2)
         else:
@@ -324,10 +316,10 @@ def baseline_bler(c: Constellation, ebno_db: float, k: int, L: int, n_blocks: in
             for j in range(1, uses_per_message):
                 sym_wrong |= wrong[j::uses_per_message]
             sym_wrong = sym_wrong.reshape(nb, L) != 0
-        symbol_errors += int(np.count_nonzero(sym_wrong))
-        block_errors += int(np.count_nonzero(sym_wrong.any(axis=1)))
-        done += nb
+        return (int(np.count_nonzero(sym_wrong.any(axis=1))), int(np.count_nonzero(sym_wrong)),
+                int(popcount[wrong].sum()))
 
+    block_errors, symbol_errors, bit_errors = count_chunks(count, n_blocks, chunk_blocks)
     seconds = time.perf_counter() - start
     log.info("%s: Eb/N0 %s dB, %d blocks, %d block errors, %.3f s, %.0f bits/s",
              c.name, ebno_db, n_blocks, block_errors, seconds,

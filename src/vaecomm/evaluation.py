@@ -21,7 +21,9 @@ calling thread.
 over L) check their own arguments and build their own records; the
 measurement itself is one loop over (Eb/N0, L) settings, ``_measure``, where
 a setting's position is its point index. So a transfer at one length and a
-sweep at one point count the same draws. Each point logs one INFO line
+sweep at one point count the same draws. Each point's chunks are counted by
+``count_chunks``, which ``baselines.baseline_bler`` shares, and every size is
+checked by ``check_integer``. Each point logs one INFO line
 (index, Eb/N0 or L, blocks, block errors, seconds, symbols/s) on the
 ``vaecomm.evaluation`` logger. The returned curves and records hold no
 wall-clock data; ``curves.write_table`` writes them.
@@ -68,12 +70,22 @@ class TransferRecord:
     system_label: str
 
 
+def check_integer(name: str, value, least: int | None = 1) -> int:
+    """value as a Python int. It must be a Python or numpy integer, not bool,
+    so a float is not truncated, and >= least unless least is None; else a
+    DomainError names it."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise DomainError(f"{name} must be an integer{bound} (Python or numpy integers, "
+                          f"not bool), got {value!r}")
+    return int(value)
+
+
 def resolve_worker_count(requested: int | None = None) -> int:
     """Worker threads to use: explicit request, else the env var, else 1 (the calling thread)."""
     if requested is not None:
-        if requested < 1:
-            raise DomainError(f"workers must be >= 1, got {requested}")
-        return requested
+        return check_integer("workers", requested)
     env = os.environ.get(THREADS_ENV_VAR)
     if env is not None:
         try:
@@ -112,20 +124,15 @@ def _chunk_map(workers: int):
         yield executor.map
 
 
-def _point_counts(system, codebook, ebno_db: float, length: int, n_blocks: int, seed: int,
-                  point_idx: int, chunk_blocks: int, chunk_map) -> tuple[int, int]:
-    starts = range(0, n_blocks, chunk_blocks)
-
-    def count(chunk_idx):
-        size = min(chunk_blocks, n_blocks - starts[chunk_idx])
-        return _count_chunk(system, codebook, ebno_db, length, size, seed, point_idx, chunk_idx)
-
-    block_errors = 0
-    symbol_errors = 0
-    for be, se in chunk_map(count, range(len(starts))):  # integer sums: order never matters
-        block_errors += be
-        symbol_errors += se
-    return block_errors, symbol_errors
+def count_chunks(count, n_blocks: int, chunk_blocks: int, chunk_map=map) -> tuple[int, ...]:
+    """The sums of count(chunk_idx, size)'s tuples of integer counts over
+    n_blocks blocks split into chunks of chunk_blocks, the last one possibly
+    short. chunk_map runs the chunks; the builtin map runs them in index order
+    on the calling thread, so a count that draws from one generator gets its
+    draws in that order."""
+    sizes = [min(chunk_blocks, n_blocks - start) for start in range(0, n_blocks, chunk_blocks)]
+    # integer sums: the order of the chunks never changes them
+    return tuple(map(sum, zip(*chunk_map(count, range(len(sizes)), sizes))))
 
 
 def _measure(system, caller: str, what: str, settings, blocks: int, seed: int,
@@ -135,8 +142,7 @@ def _measure(system, caller: str, what: str, settings, blocks: int, seed: int,
     The position of a setting is its point index in the random streams. Each
     point logs one INFO line, "<what> i/n: <text>, ...".
     """
-    if chunk_blocks < 1:
-        raise DomainError(f"chunk_blocks must be >= 1, got {chunk_blocks}")
+    chunk_blocks = check_integer("chunk_blocks", chunk_blocks)
     if system.training:
         raise ConfigError(f"{caller} requires eval mode; call eval_mode() first")
     codebook = system.codebook()
@@ -144,8 +150,10 @@ def _measure(system, caller: str, what: str, settings, blocks: int, seed: int,
     with _chunk_map(resolve_worker_count(workers)) as chunk_map:
         for idx, (ebno_db, length, text) in enumerate(settings):
             start = time.perf_counter()
-            block_errors, symbol_errors = _point_counts(
-                system, codebook, ebno_db, length, blocks, seed, idx, chunk_blocks, chunk_map)
+            block_errors, symbol_errors = count_chunks(
+                lambda chunk_idx, size: _count_chunk(system, codebook, ebno_db, length, size,
+                                                     seed, idx, chunk_idx),
+                blocks, chunk_blocks, chunk_map)
             seconds = time.perf_counter() - start
             log.info("%s %d/%d: %s, %d blocks, %d block errors, %.3f s, %.0f symbols/s",
                      what, idx + 1, len(settings), text, blocks, block_errors, seconds,
@@ -171,17 +179,18 @@ def evaluate_bler(system, ebno_points, blocks_per_point: int, seed: int, *,
     from (seed, point, chunk index), so counts are identical for any worker
     count or scheduling order, but changing chunk_blocks redraws the data.
     block_length must be an integer as in ``block_length_transfer``; None
-    means the system's own L.
+    means the system's own L. blocks_per_point, chunk_blocks and seed are
+    checked the same way, seed with no lower bound.
     """
     points = [check_ebno_db(float(p)) for p in ebno_points]
     if not points:
         raise DomainError("ebno_points must not be empty")
     if any(b <= a for a, b in zip(points, points[1:])):
         raise DomainError(f"ebno_points must be strictly increasing, got {points}")
-    if blocks_per_point < 1:
-        raise DomainError(f"blocks_per_point must be >= 1, got {blocks_per_point}")
-    (length,) = _block_lengths([system.config.block_length if block_length is None
-                                else block_length])
+    blocks_per_point = check_integer("blocks_per_point", blocks_per_point)
+    seed = check_integer("seed", seed, least=None)
+    length = check_integer("each of the block lengths",
+                           system.config.block_length if block_length is None else block_length)
 
     counts = _measure(system, "evaluate_bler", "point",
                       [(ebno, length, f"Eb/N0 {ebno} dB") for ebno in points],
@@ -203,31 +212,20 @@ def evaluate_bler(system, ebno_points, blocks_per_point: int, seed: int, *,
     return BlerCurve(points=curve_points)
 
 
-def _block_lengths(sizes: list) -> list[int]:
-    """The lengths as ints. Only Python or numpy integers, not bool, are
-    accepted, so a float is not truncated; each must be >= 1."""
-    if any(isinstance(n, bool) or not isinstance(n, (int, np.integer)) for n in sizes):
-        raise DomainError(f"block lengths must be integers, got {sizes}")
-    sizes = [int(n) for n in sizes]
-    if any(n < 1 for n in sizes):
-        raise DomainError(f"block lengths must be >= 1, got {sizes}")
-    return sizes
-
-
 def block_length_transfer(system, lengths, ebno_db: float, blocks_per_length: int,
                           seed: int, *, chunk_blocks: int = 256,
                           workers: int | None = None) -> list[TransferRecord]:
     """Evaluate one trained system at several block lengths without retraining.
 
-    Lengths must be integers (Python or numpy, not bool): a float is not
-    truncated. Every record is labelled ``default_label(system)``.
+    Lengths, blocks_per_length and chunk_blocks must be Python or numpy
+    integers >= 1, not bool: a float is not truncated. seed must be an
+    integer too. Every record is labelled ``default_label(system)``.
     """
-    sizes = list(lengths)
+    sizes = [check_integer("each of the block lengths", n) for n in lengths]
     if not sizes:
         raise DomainError("lengths must not be empty")
-    sizes = _block_lengths(sizes)
-    if blocks_per_length < 1:
-        raise DomainError(f"blocks_per_length must be >= 1, got {blocks_per_length}")
+    blocks_per_length = check_integer("blocks_per_length", blocks_per_length)
+    seed = check_integer("seed", seed, least=None)
     ebno_db = check_ebno_db(float(ebno_db))
 
     counts = _measure(system, "block_length_transfer", "length",

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from operator import index
+
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -18,9 +20,9 @@ def derive_seed(base: int, *parts: int) -> int:
 
     Streams derived from the same base with different labels are independent
     for practical purposes, and the derivation does not depend on how work is
-    later distributed across threads.
+    later distributed across threads. A numpy integer counts as its Python int.
     """
-    s = base & _MASK
+    s = index(base) & _MASK
     for p in parts:
-        s = _splitmix64(s ^ (p & _MASK))
+        s = _splitmix64(s ^ (index(p) & _MASK))
     return s

@@ -480,6 +480,13 @@ def test_baseline_rejects_a_non_integer_size(arg, value):
         baseline_bler(Constellation.qpsk(), 4.0, seed=0, **sizes)
 
 
+@pytest.mark.parametrize("seed", [-1, True, 2.0, "7"])
+def test_baseline_rejects_a_seed_that_is_not_an_integer_from_zero(seed):
+    # -1 raised numpy's ValueError from inside default_rng
+    with pytest.raises(DomainError, match="seed must be an integer >= 0"):
+        baseline_bler(Constellation.qpsk(), 4.0, k=2, L=4, n_blocks=10, seed=seed)
+
+
 def test_baseline_accepts_numpy_integer_sizes():
     c = Constellation.qpsk()
     want = baseline_bler(c, 4.0, k=4, L=10, n_blocks=300, seed=0, chunk_blocks=128)

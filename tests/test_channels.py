@@ -194,6 +194,12 @@ def test_derived_seeds_are_stable_and_distinct():
     assert derive_seed(base, 1, 2) != derive_seed(base, 2, 1)
 
 
+def test_derive_seed_takes_numpy_integers_as_python_ints():
+    # np.int64(3) & (2**64 - 1) raised OverflowError
+    assert derive_seed(np.int64(3), np.int32(1)) == derive_seed(3, 1)
+    assert derive_seed(np.uint64(2**64 - 1), 5) == derive_seed(-1, 5)
+
+
 def test_derived_streams_do_not_collide():
     a = np.random.default_rng(derive_seed(7, 0)).standard_normal(8)
     b = np.random.default_rng(derive_seed(7, 1)).standard_normal(8)

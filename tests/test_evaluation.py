@@ -23,6 +23,7 @@ from vaecomm.evaluation import (
     THREADS_ENV_VAR,
     TransferRecord,
     block_length_transfer,
+    count_chunks,
     default_label,
     evaluate_bler,
     resolve_worker_count,
@@ -252,6 +253,18 @@ def test_block_length_override():
 # ------------------------------------------------------- determinism
 
 
+def test_count_chunks_runs_the_chunks_in_order_and_sums_their_counts():
+    # the baseline draws every chunk from one generator, so the order is its draws' order
+    calls = []
+
+    def count(chunk_idx, size):
+        calls.append((chunk_idx, size))
+        return size, 10 * chunk_idx, 1
+
+    assert count_chunks(count, n_blocks=10, chunk_blocks=4) == (10, 30, 3)
+    assert calls == [(0, 4), (1, 4), (2, 2)]
+
+
 def test_same_seed_same_curve_any_worker_count():
     system = small_system()
     kwargs = dict(blocks_per_point=256, seed=7, chunk_blocks=64)
@@ -460,6 +473,44 @@ def test_transfer_csv_and_json_output(tmp_path):
     loaded = json.loads(json_path.read_text())
     assert loaded[0]["block_length"] == 2
     assert loaded[1]["bler"] == 0.0
+
+
+# each measurement by the name of its block-count argument
+MEASUREMENTS = {
+    "blocks_per_point": lambda system, **kw: evaluate_bler(system, [math.inf], **kw),
+    "blocks_per_length": lambda system, **kw: block_length_transfer(system, [2], math.inf, **kw),
+}
+
+
+@pytest.mark.parametrize("arg, value", [
+    ("blocks", 2.5), ("blocks", True), ("blocks", "10"), ("blocks", np.int64(0)),
+    ("chunk_blocks", 2.5), ("chunk_blocks", False), ("seed", 3.0), ("seed", True),
+])
+@pytest.mark.parametrize("blocks_arg", list(MEASUREMENTS))
+def test_measurement_rejects_a_non_integer_size_or_seed(blocks_arg, arg, value):
+    # True ran one block, and was written as the CSV's blocks and seed
+    name = blocks_arg if arg == "blocks" else arg
+    kwargs = {blocks_arg: 10, "chunk_blocks": 4, "seed": 1} | {name: value}
+    with pytest.raises(DomainError, match=f"{name} must be an integer"):
+        MEASUREMENTS[blocks_arg](EchoSystem(), **kwargs)
+
+
+def test_measurement_takes_numpy_integers_and_records_python_ints(tmp_path):
+    system = small_system()
+    want_curve = evaluate_bler(system, [4.0], 40, 3, block_length=5, chunk_blocks=16)
+    want_records = block_length_transfer(system, [5], 4.0, 40, 3, chunk_blocks=16)
+    curve = evaluate_bler(system, [4.0], np.int64(40), np.int64(3), block_length=np.int32(5),
+                          chunk_blocks=np.uint16(16))
+    records = block_length_transfer(system, [np.int64(5)], 4.0, np.int64(40), np.int64(3),
+                                    chunk_blocks=np.int64(16))
+    assert curve == want_curve and records == want_records
+    (point,), (record,) = curve.points, records
+    for value in (point.blocks, point.seed, point.block_length,
+                  record.blocks, record.seed, record.block_length):
+        assert type(value) is int
+    path = tmp_path / "transfer.json"
+    write_table(str(path), "json", *dataclass_table(TransferRecord, records))
+    assert json.loads(path.read_text())[0]["blocks"] == 40
 
 
 # ------------------------------------------------------------ progress
