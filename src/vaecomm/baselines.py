@@ -42,8 +42,8 @@ import numpy as np
 
 from .channels import CHANNEL_KINDS, noise_variance
 from .curves import wilson_interval
-from .errors import ConfigError, DomainError, ShapeMismatchError
-from .evaluation import check_integer, count_chunks
+from .errors import ConfigError, DomainError, ShapeMismatchError, check_integer
+from .evaluation import count_chunks
 
 log = logging.getLogger(__name__)
 

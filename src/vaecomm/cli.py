@@ -77,8 +77,10 @@ def parse_sweep(text: str) -> tuple[float, ...]:
         raise ValueError(f"sweep step must be > 0, got {step}")
     if start > stop:
         raise ValueError(f"sweep start must be <= stop, got {text!r}")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return tuple(round(start + i * step, 10) for i in range(count))
+    steps = (stop - start) / step + 1e-9
+    if not math.isfinite(steps):
+        raise ValueError(f"sweep spec has too many points: {text!r}")
+    return tuple(round(start + i * step, 10) for i in range(int(steps) + 1))
 
 
 def parse_lengths(text: str) -> tuple[int, ...]:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_integer
 from .tensor import SYSTEM_DTYPE, Tensor
 
 
@@ -24,10 +24,9 @@ class Dataset:
 def generate_dataset(k: int, L: int, num_messages: int = 12800, seed: int = 0, *,
                      num_test: int = 64000) -> Dataset:
     """Draw num_messages training blocks and num_test test blocks, seeded."""
-    if k < 1 or L < 1:
-        raise DomainError(f"k and L must be positive, got {k}, {L}")
-    if num_messages < 1 or num_test < 0:
-        raise DomainError(f"bad split sizes {num_messages}, {num_test}")
+    k, L, seed = check_integer("k", k), check_integer("L", L), check_integer("seed", seed, least=0)
+    num_messages = check_integer("num_messages", num_messages)
+    num_test = check_integer("num_test", num_test, least=0)
     rng = np.random.default_rng(seed)
     M = 1 << k
     train = rng.integers(0, M, size=(num_messages, L), dtype=np.int64)

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer argument check."""
+
+import numpy as np
 
 
 class VaecommError(Exception):
@@ -31,3 +33,14 @@ class TrainingDivergedError(VaecommError, RuntimeError):
 
 class NonDeterministicFunctionError(VaecommError, RuntimeError):
     """A function expected to be deterministic returned differing values."""
+
+
+def check_integer(name: str, value, least: int | None = 1) -> int:
+    """value as a Python int: a Python or numpy integer, not bool (a float is not
+    truncated), and >= least unless least is None; else a DomainError names it."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise DomainError(f"{name} must be an integer{bound} (Python or numpy integers, "
+                          f"not bool), got {value!r}")
+    return int(value)

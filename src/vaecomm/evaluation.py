@@ -2,12 +2,12 @@
 
 In eval mode the transmitter is a fixed per-symbol map up to the per-block
 power norm, so each call first builds the system's (M, latent_dim) codebook
-of pre-normalization latents and every chunk encodes by a gather from it.
-The codebook depends only on the system, not on ``chunk_blocks``, and lives
-for one call only. The receiver decides on blocks of 512 positions
-(``CommSystem.decide``) and keeps only the argmax, so a chunk's memory does
-not grow with its size. The whole chain (``CommSystem.end_to_end``) trains
-the system and is the tests' oracle for this path.
+of pre-normalization latents, by training's per-symbol table forward, and
+every chunk encodes by a gather from it. The codebook depends only on the
+system and lives for one call only. The receiver decides on blocks of 512
+positions (``CommSystem.decide``) and keeps only the argmax, so a chunk's
+memory does not grow with its size. The whole chain (``CommSystem.end_to_end``)
+trains the system and is the tests' oracle for this path.
 
 Work is chunked; every chunk derives its own message and channel streams from
 (seed, point index, chunk index), so results are identical no matter how the
@@ -42,7 +42,7 @@ import numpy as np
 
 from .channels import ChannelModel, check_ebno_db
 from .curves import BlerCurve, BlerPoint, wilson_interval
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, check_integer
 from .seeding import derive_seed
 from .tensor import no_grad
 
@@ -68,18 +68,6 @@ class TransferRecord:
     blocks: int
     seed: int
     system_label: str
-
-
-def check_integer(name: str, value, least: int | None = 1) -> int:
-    """value as a Python int. It must be a Python or numpy integer, not bool,
-    so a float is not truncated, and >= least unless least is None; else a
-    DomainError names it."""
-    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-            or least is not None and value < least):
-        bound = "" if least is None else f" >= {least}"
-        raise DomainError(f"{name} must be an integer{bound} (Python or numpy integers, "
-                          f"not bool), got {value!r}")
-    return int(value)
 
 
 def resolve_worker_count(requested: int | None = None) -> int:

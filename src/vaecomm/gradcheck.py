@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import check_integer
 from .layers import (
     BatchNorm1D,
     Conv1D,
@@ -225,8 +225,7 @@ def run_component(name: str, trials: int = 100, rel_tol: float = 1e-4,
     builders = dict(REGISTRY)
     if name not in builders:
         raise KeyError(f"unknown component {name!r}; known: {component_names()}")
-    if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials}")
+    trials = check_integer("trials", trials)
     stream = _stream(component_names().index(name))
     worst = 0.0
     ok = True

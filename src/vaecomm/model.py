@@ -19,9 +19,10 @@ logits (the loss applies the softmax itself). It keeps every stage's output,
 so the transmitted signal is its ``power_norm`` entry and the logits its
 ``rx_conv2`` entry; training, validation and the tests' reference for the
 codebook path all read it. The ``PER_SYMBOL`` stages before the
-transmitter's batch norm see each position's one-hot row alone, so
-``end_to_end`` runs them once per distinct symbol of the batch
-(``_per_symbol``). Evaluation runs the same tuples in pieces instead:
+transmitter's batch norm see each position's one-hot row alone, so they run
+once per distinct symbol, on a table (``_symbol_table``): ``end_to_end``
+wraps it in one graph node (``_per_symbol``), and ``codebook`` runs it on
+slices of the alphabet. Evaluation runs the same tuples in pieces:
 ``codebook`` precomputes each message's pre-normalization latent once,
 ``encode`` gathers from it and power-normalizes, and ``decide`` runs the
 receiver on blocks of ``_DECIDE_ROWS`` positions and keeps only each
@@ -171,15 +172,9 @@ PER_SYMBOL = TRANSMITTER[:4]
 # _TABLE_MIN_ROWS rows and _TABLE_MIN_FLOATS floats (rows x hidden_filters).
 # A float32 (rows x H) @ (H x H) product gives rows bit-equal to the product
 # over a whole batch only when it is this large: on OpenBLAS's AVX-512 sgemm,
-# 4 rows at 256 filters and 37 rows at 32 filters still differ in the last
-# bits. A batch with no more positions than the padded table runs per position.
+# 4 rows at 256 filters and 37 rows at 32 filters still differ in the last bits.
 _TABLE_MIN_ROWS = 8
 _TABLE_MIN_FLOATS = 2048
-
-# In eval mode every transmitter stage before the power norm maps each
-# position on its own (batch norm uses running stats, sampling returns mu),
-# so the codebook runs this prefix once per message.
-_ENCODER = TRANSMITTER[:-1]  # one-hot -> pre-normalization latent
 
 # Positions per receiver pass in ``decide``: the widest activation is then
 # 512 x hidden_filters floats (512 KiB at 256 filters) for any chunk size.
@@ -205,7 +200,7 @@ class EndToEndResult:
     with the channel output between transmitter and receiver as "channel".
     A ``PER_SYMBOL`` stage's entry is its output on the table of distinct
     symbols, shape (rows, hidden_filters), not on every position (see
-    ``CommSystem._per_symbol``); the other entries are (batch, L, width).
+    ``CommSystem._symbol_table``); the other entries are (batch, L, width).
     """
 
     loss: Tensor
@@ -286,45 +281,48 @@ class CommSystem:
                                         self.config.beta)
         return EndToEndResult(loss=loss, breakdown=breakdown, stages=stages)
 
-    def _per_symbol(self, symbols: np.ndarray, x: Tensor, record: list) -> Tensor:
-        """The ``PER_SYMBOL`` stages on every position, as one graph node.
-
-        The forward runs once per row of a table of the batch's distinct
-        symbols (in increasing order, padded by repeating rows) and gathers
-        the rows back to positions; on the table, tx_conv1 is a row gather
-        of its weight. Each stage's table output goes to ``record``. The
-        backward replays the stages' per-position gradients: the ELU slopes
-        gathered from the table, tx_conv2's input and weight gradients over
-        all positions, and tx_conv1's weight gradient as a GEMM with the
-        one-hot rows ``x``. So the output and every gradient are bit-equal
-        to running the stages one by one (see ``_TABLE_MIN_FLOATS``).
-        """
+    def _symbol_table(self, symbols: np.ndarray):
+        """The ``PER_SYMBOL`` stages on a table of the distinct symbols, in
+        increasing order and padded by repeating rows (per position if the
+        batch is no larger; see ``_TABLE_MIN_FLOATS``); on it, tx_conv1 is a
+        row gather of its weight. Returns each position's table row, the four
+        stages' table outputs and the two ELUs' ``neg`` parts."""
         conv1, conv2 = self.tx_conv1, self.tx_conv2
-        width = conv2.in_channels
         flat = symbols.reshape(-1)
-        rows = max(_TABLE_MIN_ROWS, -(-_TABLE_MIN_FLOATS // width))
+        rows = max(_TABLE_MIN_ROWS, -(-_TABLE_MIN_FLOATS // conv2.in_channels))
         if flat.size <= rows:
             table, inverse = flat, np.arange(flat.size)
         else:
             distinct, inverse = np.unique(flat, return_inverse=True)
             table = np.resize(distinct, max(distinct.size, rows))
-        w1, w2 = conv1.weight.data[:, :, 0].T, conv2.weight.data[:, :, 0].T
-        h1 = w1[table]
+        h1 = conv1.weight.data[:, :, 0].T[table]
         h1 += conv1.bias.data
         a1, neg1 = elu_parts(h1)
-        h2 = a1 @ w2
+        h2 = a1 @ conv2.weight.data[:, :, 0].T
         h2 += conv2.bias.data
         a2, neg2 = elu_parts(h2)
+        return inverse, (h1, a1, h2, a2), (neg1, neg2)
+
+    def _per_symbol(self, symbols: np.ndarray, x: Tensor, record: list) -> Tensor:
+        """The ``PER_SYMBOL`` stages on every position, as one graph node: the
+        rows of ``_symbol_table`` gathered back to positions, each stage's table
+        output put in ``record``. The backward replays the stages' per-position
+        gradients (ELU slopes gathered from the table, tx_conv2's over all
+        positions, tx_conv1's weight gradient as a GEMM with the one-hot rows
+        ``x``), so the output and every gradient equal the per-stage chain's."""
+        conv1, conv2 = self.tx_conv1, self.tx_conv2
+        inverse, (h1, a1, h2, a2), (neg1, neg2) = self._symbol_table(symbols)
         record.extend(zip((s.name for s in PER_SYMBOL), (h1, a1, h2, a2)))
+        w1, w2 = conv1.weight.data[:, :, 0].T, conv2.weight.data[:, :, 0].T
 
         def grad(g):
-            g2 = elu_slope(neg2, g.reshape(inverse.size, width), inverse)
+            g2 = elu_slope(neg2, g.reshape(inverse.size, -1), inverse)
             gx2, gw2, gb2 = conv1d_grads(a1[inverse], g2, w2)
             g1 = elu_slope(neg1, gx2, inverse)
             _, gw1, gb1 = conv1d_grads(x.data.reshape(inverse.size, -1), g1, w1, False)
             return gw1, gb1, gw2, gb2
 
-        return from_op(a2[inverse].reshape(symbols.shape + (width,)),
+        return from_op(a2[inverse].reshape(symbols.shape + a2.shape[1:]),
                        (conv1.weight, conv1.bias, conv2.weight, conv2.bias), grad)
 
     # -- eval-mode codebook path --------------------------------------------------
@@ -332,17 +330,20 @@ class CommSystem:
     def codebook(self) -> np.ndarray:
         """Eval-mode pre-normalization latent of every message, shape (M, latent_dim).
 
-        Runs the transmitter stages before the power norm on one-hot slices of
-        ``_CODEBOOK_ROWS`` messages, so no M x M identity is allocated.
-        """
+        Slices of ``_CODEBOOK_ROWS`` messages run through ``end_to_end``'s
+        ``_symbol_table`` and the later stages before the power norm. A slice's
+        messages are distinct, so it runs per position or is its own unpadded
+        table: every product keeps the per-stage chain's shape and bits."""
         if self.training:
             raise ConfigError("codebook requires eval mode; call eval_mode() first")
         M = self.config.M
         book = np.empty((M, self.config.latent_dim), dtype=SYSTEM_DTYPE)
         with no_grad():
             for start in range(0, M, _CODEBOOK_ROWS):
-                x = one_hot(np.arange(start, min(start + _CODEBOOK_ROWS, M))[None], M)
-                book[start:start + x.shape[1]] = self._run(_ENCODER, {"x": x})["latent"].data[0]
+                messages = np.arange(start, min(start + _CODEBOOK_ROWS, M))
+                inverse, (*_, h), _ = self._symbol_table(messages)
+                env = self._run(TRANSMITTER[len(PER_SYMBOL):-1], {"h": Tensor(h[inverse][None])})
+                book[messages] = env["latent"].data[0]
         return book
 
     def encode(self, codebook: np.ndarray, symbols: np.ndarray) -> Tensor:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .channels import ChannelModel
 from .data import Dataset
-from .errors import DomainError, TrainingDivergedError
+from .errors import DomainError, TrainingDivergedError, check_integer
 from .model import CommSystem, EndToEndResult
 from .optim import Adam
 from .seeding import derive_seed
@@ -100,10 +100,8 @@ def train(system: CommSystem, dataset: Dataset, *, epochs: int, batch_size: int 
     learning rate must be finite and > 0 (``Adam`` raises DomainError). The
     system is left in eval mode when training ends (including for epochs=0).
     """
-    if epochs < 0:
-        raise DomainError(f"epochs must be >= 0, got {epochs}")
-    if batch_size < 2:
-        raise DomainError(f"batch_size must be >= 2, got {batch_size}")
+    epochs = check_integer("epochs", epochs, least=0)
+    batch_size = check_integer("batch_size", batch_size, least=2)
     optimizer = Adam(system.parameters(), lr=lr)
 
     logbook = TrainingLog()

@@ -59,6 +59,15 @@ def test_parse_sweep_rejects_non_finite_parts(capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+def test_a_sweep_with_too_many_points_is_a_usage_error(capsys):
+    # the point count overflowed int(): an OverflowError traceback and exit 1
+    for bad in ("0:1e308:1e-308", "0:1:5e-321"):
+        with pytest.raises(ValueError, match="too many points"):
+            parse_sweep(bad)
+    assert main(["baseline", "--ebno", "0:1e308:1e-308", "--out", "b.csv"]) == 2
+    assert "too many points" in capsys.readouterr().err
+
+
 def test_parse_lengths():
     assert parse_lengths("10,50,100") == (10, 50, 100)
     assert parse_lengths(" 4 , 8 ") == (4, 8)

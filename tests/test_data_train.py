@@ -70,12 +70,24 @@ def test_dataset_symbol_frequencies_near_uniform():
 
 
 def test_dataset_rejects_bad_arguments():
-    with pytest.raises(DomainError):
-        generate_dataset(k=0, L=5)
-    with pytest.raises(DomainError):
-        generate_dataset(k=2, L=0)
-    with pytest.raises(DomainError):
-        generate_dataset(k=2, L=5, num_messages=0)
+    for bad in (
+        dict(k=0), dict(L=0), dict(num_messages=0), dict(num_test=-1),
+        dict(k=True),  # drew a k=1 dataset
+        dict(L=4.0), dict(num_messages=10.0), dict(num_test=2.0),  # bare TypeErrors
+        dict(seed=-1),  # numpy's ValueError
+        dict(seed=1.0), dict(seed=False),
+    ):
+        with pytest.raises(DomainError, match=next(iter(bad))):
+            generate_dataset(**(dict(k=2, L=5, num_messages=10, seed=0, num_test=4) | bad))
+
+
+def test_dataset_takes_numpy_integer_arguments():
+    ref = generate_dataset(k=3, L=5, num_messages=10, seed=7, num_test=4)
+    ds = generate_dataset(k=np.int64(3), L=np.int32(5), num_messages=np.int64(10),
+                          seed=np.uint64(7), num_test=np.int16(4))
+    np.testing.assert_array_equal(ds.train, ref.train)
+    np.testing.assert_array_equal(ds.test, ref.test)
+    assert type(ds.k) is int and type(ds.seed) is int
 
 
 def test_one_hot_single_symbol():
@@ -496,10 +508,28 @@ def test_train_rejects_bad_arguments():
     cfg = small_config()
     system = CommSystem(cfg)
     ds = tiny_dataset(cfg)
-    with pytest.raises(DomainError):
-        train(system, ds, epochs=-1)
-    with pytest.raises(DomainError):
-        train(system, ds, epochs=1, batch_size=1)
+    before = [p.data.copy() for p in system.parameters()]
+    for bad in (
+        dict(epochs=-1), dict(batch_size=1),
+        dict(epochs=True),  # trained for 1 epoch
+        dict(epochs=1.5), dict(batch_size=8.0),  # bare TypeErrors
+        dict(batch_size=True),
+    ):
+        with pytest.raises(DomainError, match=next(iter(bad))):
+            train(system, ds, **(dict(epochs=1) | bad))
+    for p, b in zip(system.parameters(), before):
+        np.testing.assert_array_equal(p.data, b)
+
+
+def test_train_takes_numpy_integer_arguments():
+    cfg = small_config()
+    systems = [CommSystem(cfg), CommSystem(cfg)]
+    logs = [train(system, tiny_dataset(cfg), epochs=e, batch_size=b).records
+            for system, (e, b) in zip(systems, ((2, 32), (np.int64(2), np.int32(32))))]
+    for field in ("train_loss", "validation_loss"):
+        assert [getattr(r, field) for r in logs[0]] == [getattr(r, field) for r in logs[1]]
+    for a, b in zip(*(system.parameters() for system in systems)):
+        np.testing.assert_array_equal(a.data, b.data)
 
 
 @pytest.mark.parametrize("lr", [-0.01, 0.0, math.nan, math.inf])

@@ -69,6 +69,13 @@ def test_fewer_than_one_trial_is_rejected():
         run_all(trials=-1)
 
 
+@pytest.mark.parametrize("trials", [True, 2.5, 2.0])
+def test_a_trial_count_that_is_not_an_integer_is_rejected(trials):
+    # True was recorded as trials=True; 2.5 raised a bare TypeError
+    with pytest.raises(DomainError, match="trials"):
+        run_component("softmax", trials=trials)
+
+
 def test_too_strict_tolerance_fails():
     report = run_component("beta_vae_loss", trials=3, rel_tol=1e-12, seed=0)
     assert not report.passed

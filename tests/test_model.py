@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import chain_stages
-from vaecomm import CheckpointError, ConfigError, DomainError
+from vaecomm import CheckpointError, ConfigError, DomainError, model
 from vaecomm.channels import ChannelModel
 from vaecomm.checkpoint import load_checkpoint, save_checkpoint
 from vaecomm.data import generate_dataset, one_hot
@@ -24,7 +24,7 @@ from vaecomm.model import (
     EndToEndResult,
     SystemConfig,
 )
-from vaecomm.tensor import Tensor
+from vaecomm.tensor import Tensor, finite_difference_check
 from vaecomm.training import train
 
 
@@ -321,6 +321,36 @@ def test_the_per_symbol_table_is_bit_equal_to_the_stage_chain(filters, k, batch,
         # the layout too: clip_global_norm sums each gradient in memory order
         assert (a.dtype, a.shape, a.strides) == (b.dtype, b.shape, b.strides), name
         np.testing.assert_array_equal(a, b, err_msg=name)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_the_per_symbol_node_gradient_matches_finite_differences(seed):
+    """The node's hand-written backward against central differences, in
+    float64, so unlike the bit-equality test above it does not depend on the
+    BLAS kernel. The batch has more positions than the padded table, so the
+    forward and backward go through the table of distinct symbols."""
+    filters = 8
+    system = CommSystem(SystemConfig(k=3, n=1, hidden_filters=filters, seed=seed))
+    rng = np.random.default_rng(seed)
+    convs = (system.tx_conv1, system.tx_conv2)
+    for conv in convs:
+        conv.weight = Tensor(conv.weight.data.astype(np.float64), requires_grad=True)
+        conv.bias = Tensor(rng.normal(scale=0.1, size=filters), requires_grad=True)
+    symbols = rng.integers(0, system.config.M, size=(4, 80))
+    assert symbols.size > max(model._TABLE_MIN_ROWS, model._TABLE_MIN_FLOATS // filters)
+    x = one_hot(symbols, system.config.M)
+    probe = Tensor(rng.normal(size=symbols.shape + (filters,)))
+    for conv in convs:
+        for field in ("weight", "bias"):
+            start = getattr(conv, field)
+
+            def f(p):
+                setattr(conv, field, p)
+                return (system._per_symbol(symbols, x, []) * probe).sum()
+
+            report = finite_difference_check(f, start)
+            setattr(conv, field, start)
+            assert report.passed, (conv.name, field, report.max_rel_err)
 
 
 def test_trace_names_every_stage():
