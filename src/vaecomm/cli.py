@@ -53,6 +53,7 @@ from .seeding import derive_seed
 from .training import train
 
 REFERENCE_PARAMETER_COUNT = 12824
+MAX_SWEEP_POINTS = 10_000  # far above any sweep the paper runs; refused before any is built
 
 _DATASET_STREAM = 5
 _BASELINE_STREAM = 6
@@ -78,8 +79,8 @@ def parse_sweep(text: str) -> tuple[float, ...]:
     if start > stop:
         raise ValueError(f"sweep start must be <= stop, got {text!r}")
     steps = (stop - start) / step + 1e-9
-    if not math.isfinite(steps):
-        raise ValueError(f"sweep spec has too many points: {text!r}")
+    if not steps < MAX_SWEEP_POINTS:  # also true for an infinite count
+        raise ValueError(f"sweep spec has too many points (at most {MAX_SWEEP_POINTS}): {text!r}")
     return tuple(round(start + i * step, 10) for i in range(int(steps) + 1))
 
 

@@ -9,6 +9,8 @@ import numpy as np
 from .errors import DomainError, check_integer
 from .tensor import SYSTEM_DTYPE, Tensor
 
+MAX_K = 16  # the largest bits per message, for datasets and systems alike
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -25,6 +27,8 @@ def generate_dataset(k: int, L: int, num_messages: int = 12800, seed: int = 0, *
                      num_test: int = 64000) -> Dataset:
     """Draw num_messages training blocks and num_test test blocks, seeded."""
     k, L, seed = check_integer("k", k), check_integer("L", L), check_integer("seed", seed, least=0)
+    if k > MAX_K:
+        raise DomainError(f"k must be in [1, {MAX_K}], got {k}")
     num_messages = check_integer("num_messages", num_messages)
     num_test = check_integer("num_test", num_test, least=0)
     rng = np.random.default_rng(seed)

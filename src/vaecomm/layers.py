@@ -221,11 +221,10 @@ def elu_parts(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out, neg
 
 
-def elu_slope(neg: np.ndarray, g: np.ndarray, rows=slice(None)) -> np.ndarray:
+def elu_slope(neg: np.ndarray, g: np.ndarray) -> np.ndarray:
     """The ELU's input gradient: ``g`` times the slope ``neg + 1`` (``neg`` from
-    :func:`elu_parts`), whose ``rows`` are taken first, so a table of outputs
-    gathered back to positions gets each position's slope."""
-    slope = (neg + 1.0)[rows]
+    :func:`elu_parts`)."""
+    slope = neg + 1.0
     slope *= g
     return slope
 

@@ -21,8 +21,9 @@ so the transmitted signal is its ``power_norm`` entry and the logits its
 codebook path all read it. The ``PER_SYMBOL`` stages before the
 transmitter's batch norm see each position's one-hot row alone, so they run
 once per distinct symbol, on a table (``_symbol_table``): ``end_to_end``
-wraps it in one graph node (``_per_symbol``), and ``codebook`` runs it on
-slices of the alphabet. Evaluation runs the same tuples in pieces:
+wraps it in one graph node (``_per_symbol``), whose backward runs on the
+table too, from the output gradient summed once per symbol, and ``codebook``
+runs it on slices of the alphabet. Evaluation runs the same tuples in pieces:
 ``codebook`` precomputes each message's pre-normalization latent once,
 ``encode`` gathers from it and power-normalizes, and ``decide`` runs the
 receiver on blocks of ``_DECIDE_ROWS`` positions and keeps only each
@@ -37,7 +38,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .channels import CHANNEL_KINDS, ChannelModel
-from .data import one_hot
+from .data import MAX_K, one_hot
 from .errors import ConfigError, DomainError
 from .layers import (
     BatchNorm1D,
@@ -77,8 +78,8 @@ class SystemConfig:
             value = getattr(self, f.name)
             if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
                 raise ConfigError(f"{f.name} must be an integer, got {value!r}")
-        if not 1 <= self.k <= 16:
-            raise ConfigError(f"k must be in [1, 16], got {self.k}")
+        if not 1 <= self.k <= MAX_K:
+            raise ConfigError(f"k must be in [1, {MAX_K}], got {self.k}")
         if self.n < 1:
             raise ConfigError(f"n must be >= 1, got {self.n}")
         if self.latent_multiplier not in VALID_LATENT_MULTIPLIERS:
@@ -270,7 +271,7 @@ class CommSystem:
         ``stages``; in training the graph holds them until the result is
         released anyway."""
         symbols = self._check_symbols(symbols)
-        x = one_hot(symbols, self.config.M)  # the loss target and tx_conv1's weight gradient
+        x = one_hot(symbols, self.config.M)  # the loss target; sums gradients per symbol
         stages: list[tuple[str, np.ndarray]] = []
         h = self._per_symbol(symbols, x, stages)
         env = self._run(TRANSMITTER[len(PER_SYMBOL):], {"h": h}, stages)
@@ -285,8 +286,9 @@ class CommSystem:
         """The ``PER_SYMBOL`` stages on a table of the distinct symbols, in
         increasing order and padded by repeating rows (per position if the
         batch is no larger; see ``_TABLE_MIN_FLOATS``); on it, tx_conv1 is a
-        row gather of its weight. Returns each position's table row, the four
-        stages' table outputs and the two ELUs' ``neg`` parts."""
+        row gather of its weight. Returns the symbol of each table row, each
+        position's table row, the four stages' table outputs and the two
+        ELUs' ``neg`` parts."""
         conv1, conv2 = self.tx_conv1, self.tx_conv2
         flat = symbols.reshape(-1)
         rows = max(_TABLE_MIN_ROWS, -(-_TABLE_MIN_FLOATS // conv2.in_channels))
@@ -301,26 +303,32 @@ class CommSystem:
         h2 = a1 @ conv2.weight.data[:, :, 0].T
         h2 += conv2.bias.data
         a2, neg2 = elu_parts(h2)
-        return inverse, (h1, a1, h2, a2), (neg1, neg2)
+        return table, inverse, (h1, a1, h2, a2), (neg1, neg2)
 
     def _per_symbol(self, symbols: np.ndarray, x: Tensor, record: list) -> Tensor:
         """The ``PER_SYMBOL`` stages on every position, as one graph node: the
         rows of ``_symbol_table`` gathered back to positions, each stage's table
-        output put in ``record``. The backward replays the stages' per-position
-        gradients (ELU slopes gathered from the table, tx_conv2's over all
-        positions, tx_conv1's weight gradient as a GEMM with the one-hot rows
-        ``x``), so the output and every gradient equal the per-stage chain's."""
+        output put in ``record``. The backward runs on the table too: the
+        one-hot rows ``x`` sum the output gradient per symbol (``x.T @ g``) onto
+        each symbol's first table row (other rows get zero), tx_conv2 and the
+        ELUs take their gradients on the table's rows, and tx_conv1's are the
+        table gradient's rows, one per present symbol, and its column sum.
+        These are the per-stage chain's gradients, summed in another order."""
         conv1, conv2 = self.tx_conv1, self.tx_conv2
-        inverse, (h1, a1, h2, a2), (neg1, neg2) = self._symbol_table(symbols)
+        table, inverse, (h1, a1, h2, a2), (neg1, neg2) = self._symbol_table(symbols)
         record.extend(zip((s.name for s in PER_SYMBOL), (h1, a1, h2, a2)))
-        w1, w2 = conv1.weight.data[:, :, 0].T, conv2.weight.data[:, :, 0].T
+        w2 = conv2.weight.data[:, :, 0].T
 
         def grad(g):
-            g2 = elu_slope(neg2, g.reshape(inverse.size, -1), inverse)
-            gx2, gw2, gb2 = conv1d_grads(a1[inverse], g2, w2)
-            g1 = elu_slope(neg1, gx2, inverse)
-            _, gw1, gb1 = conv1d_grads(x.data.reshape(inverse.size, -1), g1, w1, False)
-            return gw1, gb1, gw2, gb2
+            present, first = np.unique(table, return_index=True)
+            sums = x.data.reshape(inverse.size, -1).T @ g.reshape(inverse.size, -1)
+            g2 = np.zeros_like(a2)
+            g2[first] = sums[present]
+            gx2, gw2, gb2 = conv1d_grads(a1, elu_slope(neg2, g2), w2)
+            g1 = elu_slope(neg1, gx2)
+            gw1 = np.zeros_like(sums)
+            gw1[present] = g1[first]
+            return gw1.T[:, :, None], g1.sum(axis=0), gw2, gb2
 
         return from_op(a2[inverse].reshape(symbols.shape + a2.shape[1:]),
                        (conv1.weight, conv1.bias, conv2.weight, conv2.bias), grad)
@@ -341,7 +349,7 @@ class CommSystem:
         with no_grad():
             for start in range(0, M, _CODEBOOK_ROWS):
                 messages = np.arange(start, min(start + _CODEBOOK_ROWS, M))
-                inverse, (*_, h), _ = self._symbol_table(messages)
+                _, inverse, (*_, h), _ = self._symbol_table(messages)
                 env = self._run(TRANSMITTER[len(PER_SYMBOL):-1], {"h": Tensor(h[inverse][None])})
                 book[messages] = env["latent"].data[0]
         return book

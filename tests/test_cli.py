@@ -15,6 +15,7 @@ import pytest
 import vaecomm
 import vaecomm.gradcheck as gradcheck
 from vaecomm.cli import (
+    MAX_SWEEP_POINTS,
     RunConfig,
     build_parser,
     main,
@@ -65,6 +66,16 @@ def test_a_sweep_with_too_many_points_is_a_usage_error(capsys):
         with pytest.raises(ValueError, match="too many points"):
             parse_sweep(bad)
     assert main(["baseline", "--ebno", "0:1e308:1e-308", "--out", "b.csv"]) == 2
+    assert "too many points" in capsys.readouterr().err
+
+
+def test_a_sweep_with_a_finite_but_huge_point_count_is_refused_at_once(capsys):
+    # a finite count passed the check above, and building the points ran out of memory
+    assert len(parse_sweep(f"0:{MAX_SWEEP_POINTS - 1}:1")) == MAX_SWEEP_POINTS
+    for bad in (f"0:{MAX_SWEEP_POINTS}:1", "0:1e300:1"):
+        with pytest.raises(ValueError, match="too many points"):
+            parse_sweep(bad)
+    assert main(["baseline", "--ebno", "0:1e300:1", "--out", "b.csv"]) == 2
     assert "too many points" in capsys.readouterr().err
 
 

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from vaecomm import training
 from vaecomm.channels import ChannelModel
 from vaecomm.curves import write_table
-from vaecomm.data import Dataset, generate_dataset, one_hot
-from vaecomm.errors import DomainError, ShapeMismatchError, TrainingDivergedError
+from vaecomm.data import MAX_K, Dataset, generate_dataset, one_hot
+from vaecomm.errors import ConfigError, DomainError, ShapeMismatchError, TrainingDivergedError
 from vaecomm.evaluation import evaluate_bler
 from vaecomm.layers import BatchNorm1D
 from vaecomm.model import CommSystem, SystemConfig
@@ -71,7 +71,8 @@ def test_dataset_symbol_frequencies_near_uniform():
 
 def test_dataset_rejects_bad_arguments():
     for bad in (
-        dict(k=0), dict(L=0), dict(num_messages=0), dict(num_test=-1),
+        dict(k=0), dict(k=17), dict(k=64),  # k=64: numpy's ValueError
+        dict(L=0), dict(num_messages=0), dict(num_test=-1),
         dict(k=True),  # drew a k=1 dataset
         dict(L=4.0), dict(num_messages=10.0), dict(num_test=2.0),  # bare TypeErrors
         dict(seed=-1),  # numpy's ValueError
@@ -79,6 +80,14 @@ def test_dataset_rejects_bad_arguments():
     ):
         with pytest.raises(DomainError, match=next(iter(bad))):
             generate_dataset(**(dict(k=2, L=5, num_messages=10, seed=0, num_test=4) | bad))
+
+
+def test_dataset_and_system_share_the_largest_k():
+    ds = generate_dataset(k=MAX_K, L=3, num_messages=4, seed=1, num_test=2)
+    assert ds.train.shape == (4, 3) and ds.train.max() < 1 << MAX_K
+    SystemConfig(k=MAX_K, n=8)
+    with pytest.raises(ConfigError, match="k must be in"):
+        SystemConfig(k=MAX_K + 1, n=8)
 
 
 def test_dataset_takes_numpy_integer_arguments():

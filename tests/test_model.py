@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -277,21 +278,28 @@ def test_end_to_end_shapes_and_gradients_over_configs(k, n, m, filters, kind, le
 
 
 def _per_symbol_run(system, symbols, g, table):
-    """The PER_SYMBOL stages' output and the gradients of their four
-    parameters for the output gradient ``g``: as end_to_end's table node, or
-    as the per-stage layer chain on every position."""
+    """The PER_SYMBOL stages' output, the four stages' records and the
+    gradients of their four parameters for the output gradient ``g``: as
+    end_to_end's table node, or as the per-stage layer chain on every
+    position."""
     x = one_hot(symbols, system.config.M)
+    record = []
     if table:
-        out = system._per_symbol(symbols, x, [])
+        out = system._per_symbol(symbols, x, record)
     else:
-        out = system._run(PER_SYMBOL, {"x": x})["h"]
+        out = system._run(PER_SYMBOL, {"x": x}, record)["h"]
     for p in system.parameters():
         p.grad = None
     (out * Tensor(g)).sum().backward()
     conv1, conv2 = system.tx_conv1, system.tx_conv2
-    return [out.data] + [p.grad for p in (conv1.weight, conv1.bias, conv2.weight, conv2.bias)]
+    return out.data, record, [p.grad for p in (conv1.weight, conv1.bias, conv2.weight, conv2.bias)]
 
 
+# the gradients' bound, relative to each gradient's largest entry
+_PER_SYMBOL_GRAD_RTOL = {np.float32: 1e-5, np.float64: 1e-12}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("mode", ["train", "eval"])
 @pytest.mark.parametrize("k, batch, one_symbol", [
     (2, (64, 10), False),
@@ -301,26 +309,63 @@ def _per_symbol_run(system, symbols, g, table):
     (4, (2, 3), False),  # fewer positions than a padded table: run per position
 ], ids=["k2", "k4", "k8", "one-symbol", "six-positions"])
 @pytest.mark.parametrize("filters", [32, 256])
-def test_the_per_symbol_table_is_bit_equal_to_the_stage_chain(filters, k, batch, one_symbol,
-                                                              mode):
-    """Bit-equal on OpenBLAS's AVX-512 sgemm, the kernel it picks on an
-    AVX-512 CPU. Under ``OPENBLAS_CORETYPE=Haswell`` a float32 product's rows
-    depend on its row count at every table size tried, so the table changes
-    the last bits and 16 of these 20 cases fail (README, "System model")."""
+def test_the_per_symbol_table_matches_the_stage_chain(filters, k, batch, one_symbol, mode,
+                                                      dtype):
+    """The output and the records are bit-equal on OpenBLAS's AVX-512 kernels,
+    the ones it picks on an AVX-512 CPU. Under ``OPENBLAS_CORETYPE=Haswell``
+    a product's rows depend on its row count, so the table changes the last
+    bits, and 20 of these 40 cases fail on the output: 16 in float32 and the
+    4 at k=8 in float64 (README, "System model"). The gradients sum per
+    symbol first, in another order than the chain's, so they agree within a
+    bound."""
     cfg = SystemConfig(k=k, n=2, hidden_filters=filters, block_length=batch[1], seed=k)
     system = getattr(CommSystem(cfg), f"{mode}_mode")()
     rng = np.random.default_rng(k)
     for conv in (system.tx_conv1, system.tx_conv2):  # biases away from their initial zeros
-        conv.bias.data[:] = rng.normal(scale=0.1, size=filters)
+        conv.weight = Tensor(conv.weight.data.astype(dtype), requires_grad=True)
+        conv.bias = Tensor(rng.normal(scale=0.1, size=filters).astype(dtype), requires_grad=True)
     symbols = np.full(batch, 5) if one_symbol else rng.integers(0, cfg.M, size=batch)
-    g = rng.normal(size=batch + (filters,)).astype(np.float32)
-    table = _per_symbol_run(system, symbols, g, table=True)
-    chain = _per_symbol_run(system, symbols, g, table=False)
-    for name, a, b in zip(("output", "tx_conv1.weight", "tx_conv1.bias", "tx_conv2.weight",
-                           "tx_conv2.bias"), table, chain):
+    g = rng.normal(size=batch + (filters,)).astype(dtype)
+    out, record, grads = _per_symbol_run(system, symbols, g, table=True)
+    chain_out, chain_record, chain_grads = _per_symbol_run(system, symbols, g, table=False)
+    assert (out.dtype, out.shape, out.strides) == (chain_out.dtype, chain_out.shape,
+                                                   chain_out.strides)
+    np.testing.assert_array_equal(out, chain_out)
+    inverse = system._symbol_table(symbols)[1]
+    assert [n for n, _ in record] == [n for n, _ in chain_record] == [s.name for s in PER_SYMBOL]
+    for (name, rows), (_, per_position) in zip(record, chain_record):
+        assert rows.dtype == per_position.dtype == dtype, name
+        assert rows.shape[1:] == per_position.shape[2:], name
+        np.testing.assert_array_equal(rows[inverse], per_position.reshape(inverse.size, -1),
+                                      err_msg=name)
+    for name, a, b in zip(("tx_conv1.weight", "tx_conv1.bias", "tx_conv2.weight",
+                           "tx_conv2.bias"), grads, chain_grads):
         # the layout too: clip_global_norm sums each gradient in memory order
         assert (a.dtype, a.shape, a.strides) == (b.dtype, b.shape, b.strides), name
-        np.testing.assert_array_equal(a, b, err_msg=name)
+        bound = _PER_SYMBOL_GRAD_RTOL[dtype] * np.abs(b).max()
+        assert np.abs(a.astype(np.float64) - b).max() <= bound, name
+
+
+def test_the_per_symbol_backward_allocates_no_row_per_position():
+    """At k=4, batch (64, 100) and 256 filters, the node's backward peaks at
+    the size of a few table-sized arrays and tx_conv2's weight gradient
+    (256 KiB); a per-position pass over the 6,400 positions needs 6.25 MiB
+    for each (positions x filters) float32 array."""
+    cfg = SystemConfig(k=4, n=2, hidden_filters=256, block_length=100, seed=4)
+    system = CommSystem(cfg)
+    symbols = np.random.default_rng(4).integers(0, cfg.M, size=(64, 100))
+    out = system._per_symbol(symbols, one_hot(symbols, cfg.M), [])
+    g = np.random.default_rng(5).normal(size=out.shape).astype(np.float32)
+    tracemalloc.start()
+    try:
+        grads = out._grad_fn(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [gr.shape for gr in grads] == [p.shape for p in (
+        system.tx_conv1.weight, system.tx_conv1.bias, system.tx_conv2.weight,
+        system.tx_conv2.bias)]
+    assert peak < 1 << 20, f"peak {peak / 2**20:.2f} MiB"
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
