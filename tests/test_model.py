@@ -295,11 +295,6 @@ def _per_symbol_run(system, symbols, g, table):
     return out.data, record, [p.grad for p in (conv1.weight, conv1.bias, conv2.weight, conv2.bias)]
 
 
-# the gradients' bound, relative to each gradient's largest entry
-_PER_SYMBOL_GRAD_RTOL = {np.float32: 1e-5, np.float64: 1e-12}
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("mode", ["train", "eval"])
 @pytest.mark.parametrize("k, batch, one_symbol", [
     (2, (64, 10), False),
@@ -309,41 +304,45 @@ _PER_SYMBOL_GRAD_RTOL = {np.float32: 1e-5, np.float64: 1e-12}
     (4, (2, 3), False),  # fewer positions than a padded table: run per position
 ], ids=["k2", "k4", "k8", "one-symbol", "six-positions"])
 @pytest.mark.parametrize("filters", [32, 256])
-def test_the_per_symbol_table_matches_the_stage_chain(filters, k, batch, one_symbol, mode,
-                                                      dtype):
-    """The output and the records are bit-equal on OpenBLAS's AVX-512 kernels,
-    the ones it picks on an AVX-512 CPU. Under ``OPENBLAS_CORETYPE=Haswell``
-    a product's rows depend on its row count, so the table changes the last
-    bits, and 20 of these 40 cases fail on the output: 16 in float32 and the
-    4 at k=8 in float64 (README, "System model"). The gradients sum per
-    symbol first, in another order than the chain's, so they agree within a
-    bound."""
+def test_the_per_symbol_table_is_bit_equal_to_the_stage_chain(filters, k, batch, one_symbol,
+                                                              mode):
+    """The table's output and records are bit-equal to the chain's on
+    OpenBLAS's AVX-512 kernels, the ones it picks on an AVX-512 CPU, with
+    float32 and with float64 weights. Under ``OPENBLAS_CORETYPE=Haswell`` a
+    product's rows depend on its row count, so the table changes the last
+    bits, and 16 of these 20 cases fail on the float32 output; at k=8 the
+    float64 output differs too (README, "System model"). The backward sums the
+    gradients per symbol first, in another order than the chain's, so they
+    agree within a bound relative to each gradient's largest entry."""
     cfg = SystemConfig(k=k, n=2, hidden_filters=filters, block_length=batch[1], seed=k)
     system = getattr(CommSystem(cfg), f"{mode}_mode")()
-    rng = np.random.default_rng(k)
-    for conv in (system.tx_conv1, system.tx_conv2):  # biases away from their initial zeros
-        conv.weight = Tensor(conv.weight.data.astype(dtype), requires_grad=True)
-        conv.bias = Tensor(rng.normal(scale=0.1, size=filters).astype(dtype), requires_grad=True)
-    symbols = np.full(batch, 5) if one_symbol else rng.integers(0, cfg.M, size=batch)
-    g = rng.normal(size=batch + (filters,)).astype(dtype)
-    out, record, grads = _per_symbol_run(system, symbols, g, table=True)
-    chain_out, chain_record, chain_grads = _per_symbol_run(system, symbols, g, table=False)
-    assert (out.dtype, out.shape, out.strides) == (chain_out.dtype, chain_out.shape,
-                                                   chain_out.strides)
-    np.testing.assert_array_equal(out, chain_out)
-    inverse = system._symbol_table(symbols)[1]
-    assert [n for n, _ in record] == [n for n, _ in chain_record] == [s.name for s in PER_SYMBOL]
-    for (name, rows), (_, per_position) in zip(record, chain_record):
-        assert rows.dtype == per_position.dtype == dtype, name
-        assert rows.shape[1:] == per_position.shape[2:], name
-        np.testing.assert_array_equal(rows[inverse], per_position.reshape(inverse.size, -1),
-                                      err_msg=name)
-    for name, a, b in zip(("tx_conv1.weight", "tx_conv1.bias", "tx_conv2.weight",
-                           "tx_conv2.bias"), grads, chain_grads):
-        # the layout too: clip_global_norm sums each gradient in memory order
-        assert (a.dtype, a.shape, a.strides) == (b.dtype, b.shape, b.strides), name
-        bound = _PER_SYMBOL_GRAD_RTOL[dtype] * np.abs(b).max()
-        assert np.abs(a.astype(np.float64) - b).max() <= bound, name
+    for dtype, rtol in ((np.float32, 1e-5), (np.float64, 1e-12)):
+        rng = np.random.default_rng(k)
+        for conv in (system.tx_conv1, system.tx_conv2):  # biases away from their initial zeros
+            conv.weight = Tensor(conv.weight.data.astype(dtype), requires_grad=True)
+            conv.bias = Tensor(rng.normal(scale=0.1, size=filters).astype(dtype),
+                               requires_grad=True)
+        symbols = np.full(batch, 5) if one_symbol else rng.integers(0, cfg.M, size=batch)
+        g = rng.normal(size=batch + (filters,)).astype(dtype)
+        out, record, grads = _per_symbol_run(system, symbols, g, table=True)
+        chain_out, chain_record, chain_grads = _per_symbol_run(system, symbols, g, table=False)
+        assert (out.dtype, out.shape, out.strides) == (chain_out.dtype, chain_out.shape,
+                                                       chain_out.strides)
+        np.testing.assert_array_equal(out, chain_out, err_msg=dtype.__name__)
+        inverse = system._symbol_table(symbols)[1]
+        assert [n for n, _ in record] == [n for n, _ in chain_record] == [s.name
+                                                                          for s in PER_SYMBOL]
+        for (name, rows), (_, per_position) in zip(record, chain_record):
+            assert rows.dtype == per_position.dtype == dtype, name
+            assert rows.shape[1:] == per_position.shape[2:], name
+            np.testing.assert_array_equal(rows[inverse], per_position.reshape(inverse.size, -1),
+                                          err_msg=f"{name} {dtype.__name__}")
+        for name, a, b in zip(("tx_conv1.weight", "tx_conv1.bias", "tx_conv2.weight",
+                               "tx_conv2.bias"), grads, chain_grads):
+            # the layout too: clip_global_norm sums each gradient in memory order
+            assert (a.dtype, a.shape, a.strides) == (b.dtype, b.shape, b.strides), name
+            err = np.abs(a.astype(np.float64) - b).max()
+            assert err <= rtol * np.abs(b).max(), (name, dtype.__name__, err)
 
 
 def test_the_per_symbol_backward_allocates_no_row_per_position():

@@ -6,8 +6,8 @@ Each checkout runs ``python -m pytest -q -s tests/test_acceptance.py`` with
 its own ``src`` on ``PYTHONPATH`` and ``OPENBLAS_NUM_THREADS=1``, once on
 OpenBLAS's default kernel (``OPENBLAS_CORETYPE`` unset) and once under
 ``OPENBLAS_CORETYPE=Haswell``, its AVX2 kernel. Trained float32 bits depend on
-the kernel, so a gate that flips under one kernel only is the host's, not the
-change's. The four runs go two at a time, in the order default parent,
+the kernel, so the two kernels show which verdicts move with the kernel alone.
+The four runs go two at a time, in the order default parent,
 default change, Haswell parent, Haswell change, so the two sides of a kernel
 run side by side and share the host's load.
 
